@@ -33,13 +33,10 @@ namespace fsp::analysis {
 
 /**
  * Everything a KernelAnalysis can be configured with, in one struct:
- * pass it at construction or through one configure() call instead of
- * the historical one-setter-per-knob drip (setSlicingEnabled,
- * setCheckpointsEnabled, setFaultModel, setSectionCacheDir,
- * attachExecMetrics -- all kept as thin deprecated shims for one
- * release).  Fields apply lazily where the facade is lazy: engine
- * strategy knobs take effect when the injector is first built, so
- * configuring a fresh analysis never triggers the golden run early.
+ * pass it at construction or through one configure() call.  Fields
+ * apply lazily where the facade is lazy: engine strategy knobs take
+ * effect when the injector is first built, so configuring a fresh
+ * analysis never triggers the golden run early.
  */
 struct AnalysisConfig
 {
@@ -59,7 +56,10 @@ struct AnalysisConfig
     std::string sectionCacheDir;
 
     /** Counter sink for the facade's own profiling executor (must
-     * outlive the analysis); null leaves it detached. */
+     * outlive the analysis); null leaves it detached.  Injectors build
+     * their own executors, so campaign workers never touch it: it only
+     * counts the facade's single-threaded enumeration and profiling
+     * runs. */
     sim::ExecMetrics *execMetrics = nullptr;
 };
 
@@ -85,7 +85,7 @@ class KernelAnalysis
     /**
      * Apply a full configuration in one call.  Safe at any point;
      * strategy changes invalidate the cached campaign engine (workers
-     * are injector clones) exactly as the individual setters did.
+     * are injector clones).
      */
     void configure(const AnalysisConfig &config);
 
@@ -100,14 +100,7 @@ class KernelAnalysis
     /** Fault injector (lazy; runs the golden execution once). */
     faults::Injector &injector();
 
-    /** @{ CTA-sliced engine controls (forwarded to the injector). */
-    /** @deprecated Use AnalysisConfig::slicing via configure(). */
-    [[deprecated("use AnalysisConfig::slicing via configure()")]] void
-    setSlicingEnabled(bool enabled)
-    {
-        applySlicing(enabled);
-    }
-
+    /** @{ CTA-sliced engine state (AnalysisConfig::slicing). */
     /** Will injection runs use the sliced path? */
     bool slicingActive() { return injector().slicingActive(); }
 
@@ -119,30 +112,14 @@ class KernelAnalysis
     }
     /** @} */
 
-    /** @{ Checkpointed-replay controls (forwarded to the injector). */
-    /** @deprecated Use AnalysisConfig::checkpoints via configure(). */
-    [[deprecated("use AnalysisConfig::checkpoints via configure()")]] void
-    setCheckpointsEnabled(bool enabled)
-    {
-        applyCheckpoints(enabled);
-    }
-
-    /** Will injection runs resume from checkpoints? */
+    /** Will injection runs resume from checkpoints
+     *  (AnalysisConfig::checkpoints)? */
     bool checkpointsActive() { return injector().checkpointsActive(); }
-    /** @} */
 
-    /** @{ Fault-model strategy (single-bit destination flip default). */
-    /** @deprecated Use AnalysisConfig::faultModel via configure(). */
-    [[deprecated("use AnalysisConfig::faultModel via configure()")]] void
-    setFaultModel(std::shared_ptr<const faults::FaultModel> model,
-                  std::uint64_t modelSeed = 0)
-    {
-        applyFaultModel(std::move(model), modelSeed);
-    }
-
-    /** The model the facade's injector currently injects under. */
+    /** The model the facade's injector currently injects under
+     *  (AnalysisConfig::faultModel; single-bit destination flip by
+     *  default). */
     const faults::FaultModel &faultModel() { return injector().faultModel(); }
-    /** @} */
 
     /**
      * Run the progressive pruning pipeline.  The injector's slicing
@@ -175,28 +152,22 @@ class KernelAnalysis
      * run counters -- with the assumed-masked weight already folded
      * into the distribution.  This is what the tools' --json rides on.
      * When a section-cache directory is attached
-     * (setSectionCacheDir), the facade builds the SectionIndex for
-     * the pruned site list on first use and runs the campaign with
-     * the incremental reuse path enabled.
+     * (AnalysisConfig::sectionCacheDir), the facade builds the
+     * SectionIndex for the pruned site list on first use and runs the
+     * campaign with the incremental reuse path enabled.
      */
     faults::CampaignResult
     runPrunedCampaignDetailed(const pruning::PruningResult &pruned,
                               const faults::CampaignOptions &options);
 
     /**
-     * @{ Incremental campaigns.  Attaching a cache directory makes
-     * every subsequent runPrunedCampaignDetailed consult (and feed)
-     * the content-addressed section result cache; an empty dir
-     * detaches.  The index can also be built eagerly for engine
-     * callers that drive CampaignOptions themselves.
+     * @{ Incremental campaigns.  Attaching a cache directory
+     * (AnalysisConfig::sectionCacheDir) makes every subsequent
+     * runPrunedCampaignDetailed consult (and feed) the
+     * content-addressed section result cache; an empty dir detaches.
+     * The index can also be built eagerly for engine callers that
+     * drive CampaignOptions themselves.
      */
-    /** @deprecated Use AnalysisConfig::sectionCacheDir via configure(). */
-    [[deprecated("use AnalysisConfig::sectionCacheDir via configure()")]] void
-    setSectionCacheDir(const std::string &dir)
-    {
-        applySectionCacheDir(dir);
-    }
-
     faults::SectionCache *sectionCache() { return section_cache_.get(); }
 
     /**
@@ -229,22 +200,8 @@ class KernelAnalysis
     faults::CampaignEngine &
     campaignEngine(const faults::CampaignOptions &options = {});
 
-    /**
-     * Feed the facade's own (profiling) executor's run counters into
-     * @p sink (see sim::Executor::setMetricsSink).  The sink must
-     * outlive this analysis; null detaches.  Injectors build their own
-     * executors, so campaign workers never touch this sink -- it only
-     * counts the facade's single-threaded enumeration/profiling runs.
-     * @deprecated Use AnalysisConfig::execMetrics via configure().
-     */
-    [[deprecated("use AnalysisConfig::execMetrics via configure()")]] void
-    attachExecMetrics(sim::ExecMetrics *sink)
-    {
-        applyExecMetrics(sink);
-    }
-
   private:
-    /** Non-deprecated implementations the shims and configure() share. */
+    /** @{ configure()'s per-field steps. */
     void applySlicing(bool enabled);
     void applyCheckpoints(bool enabled);
     void applyFaultModel(std::shared_ptr<const faults::FaultModel> model,
@@ -254,6 +211,7 @@ class KernelAnalysis
     {
         executor_->setMetricsSink(sink);
     }
+    /** @} */
 
     const apps::KernelSpec &spec_;
     apps::KernelSetup setup_;

@@ -8,11 +8,13 @@
  * -- build a Registry, bridge campaign events into it, count the
  * facade's profiling runs, honour --progress, then export the snapshot
  * as a Prometheus file and/or a --json object.  This type owns that
- * wiring so each tool adds observability in four lines:
+ * wiring so each tool adds observability in a few lines:
  *
  *     analysis::Observability obs(opts.progressEvery);
- *     ka.attachExecMetrics(&obs.exec);
- *     auto pruned = ka.prune(config, &obs.registry);
+ *     analysis::AnalysisConfig facade;
+ *     facade.execMetrics = &obs.exec;
+ *     analysis::KernelAnalysis ka(spec, scale, facade);
+ *     auto pruned = ka.prune(pruning, &obs.registry);
  *     options.observer = obs.observer();
  *     ...
  *     obs.finalize();
@@ -50,7 +52,7 @@ struct Observability
     /** The metric store every component below feeds. */
     metrics::Registry registry;
 
-    /** Simulator counters; attach via KernelAnalysis::attachExecMetrics. */
+    /** Simulator counters; attach via AnalysisConfig::execMetrics. */
     sim::ExecMetrics exec;
 
     /** Bridges campaign events into `registry`. */

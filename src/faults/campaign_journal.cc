@@ -227,36 +227,6 @@ readWholeFile(int fd, const std::string &path)
 
 } // namespace
 
-void
-JournalHasher::update(const void *bytes, std::size_t size)
-{
-    const auto *p = static_cast<const std::uint8_t *>(bytes);
-    for (std::size_t i = 0; i < size; ++i) {
-        state_ ^= p[i];
-        state_ *= 0x100000001b3ULL;
-    }
-}
-
-void
-JournalHasher::update(std::string_view text)
-{
-    // Fold the length in first so "ab","c" and "a","bc" differ.
-    update(static_cast<std::uint64_t>(text.size()));
-    update(text.data(), text.size());
-}
-
-void
-JournalHasher::update(std::uint64_t value)
-{
-    update(&value, sizeof(value));
-}
-
-void
-JournalHasher::update(double value)
-{
-    update(std::bit_cast<std::uint64_t>(value));
-}
-
 std::uint64_t
 journalHeaderHash(const JournalKey &key, std::size_t count,
                   const std::function<const FaultSite &(std::size_t)> &siteAt,

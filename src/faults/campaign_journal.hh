@@ -51,6 +51,7 @@
 #ifndef FSP_FAULTS_CAMPAIGN_JOURNAL_HH
 #define FSP_FAULTS_CAMPAIGN_JOURNAL_HH
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -62,6 +63,7 @@
 #include "faults/fault_site.hh"
 #include "faults/outcome.hh"
 #include "faults/sdc_anatomy.hh"
+#include "util/hash.hh"
 
 namespace fsp::faults {
 
@@ -73,22 +75,28 @@ class JournalError : public std::runtime_error
 };
 
 /**
- * Incremental FNV-1a 64-bit hasher; the journal's sole integrity
- * primitive (headers, records, footers and the campaign-identity
- * hash all use it).
+ * The library's FNV-1a hasher (util/hash.hh) with the typed updates
+ * the journal folds; its sole integrity primitive (headers, records,
+ * footers and the campaign-identity hash all use it).
  */
-class JournalHasher
+class JournalHasher : public Fnv1a64
 {
   public:
-    void update(const void *bytes, std::size_t size);
-    void update(std::string_view text);
-    void update(std::uint64_t value);
-    void update(double value);
+    using Fnv1a64::update;
 
-    std::uint64_t digest() const { return state_; }
+    /** Length first, so "ab","c" and "a","bc" differ. */
+    void
+    update(std::string_view text)
+    {
+        update(static_cast<std::uint64_t>(text.size()));
+        update(text.data(), text.size());
+    }
 
-  private:
-    std::uint64_t state_ = 0xcbf29ce484222325ULL;
+    void
+    update(double value)
+    {
+        update(std::bit_cast<std::uint64_t>(value));
+    }
 };
 
 /** The campaign identity folded into the journal header hash. */

@@ -38,8 +38,9 @@
  *
  * Disk format: one append-only file per bucket
  * (`DIR/sec-<hex>.fspc`), fixed 56-byte self-checksummed records.
- * Appends are single O_APPEND write()s, so shard workers of the
- * sharded campaign service can share a directory without locking;
+ * Appends are single O_APPEND write()s, so the processes of a
+ * sharded campaign (`fsp campaign --shard`) can share a directory
+ * without locking;
  * torn or corrupt records are skipped on load (a miss, never an
  * error), and duplicate keys are benign because outcomes are
  * deterministic functions of the key.

@@ -4,9 +4,9 @@
  * journaled shards, deterministically.
  *
  * The single-process CampaignEngine is saturated, so a sharded
- * campaign runs each shard in its own worker process (see
- * src/service/) and re-folds the shard journals into one result with
- * journal_merge.hh.  The planner's contract is the whole scheme's
+ * campaign runs each shard in its own process (`fsp campaign --shard
+ * I/N`, tools/fsp.cc) and re-folds the shard journals into one result
+ * with journal_merge.hh (`fsp merge`).  The planner's contract is the whole scheme's
  * correctness argument:
  *
  *  - Assignment is a pure function of (site index, site count, shard
@@ -24,8 +24,8 @@
  *    exactly.
  *  - planShards() never looks at weights or outcomes, so re-planning
  *    the same site list always yields the same shards -- a crashed
- *    worker's journal can be re-opened and resumed by a fresh process
- *    with nothing but (spec, shard index, shard count).
+ *    shard's journal can be re-opened and resumed by a fresh process
+ *    with nothing but (campaign options, shard index, shard count).
  */
 
 #ifndef FSP_FAULTS_SHARD_PLAN_HH
@@ -102,8 +102,8 @@ ShardPlan planShards(const JournalKey &key,
  * Pre-create (or validate, when resuming) the on-disk journal of one
  * shard at @p path: a fresh file gets the standard header plus the
  * shard extension block sealed; an existing file is validated against
- * the entry's identity exactly as a resume would.  After this, a
- * worker process runs the shard as a plain journaled campaign with
+ * the entry's identity exactly as a resume would.  After this, the
+ * shard's process runs it as a plain journaled campaign with
  * CampaignOptions{journalPath=path, resume=true, journalKey=entry.key}
  * -- the engine needs no sharding knowledge at all.  Throws
  * JournalError when an existing file belongs to a different campaign

@@ -7,23 +7,9 @@
 
 #include <algorithm>
 
+#include "util/hash.hh"
+
 namespace fsp::sim {
-
-namespace {
-
-/** FNV-1a 64-bit, byte-at-a-time (same fold as faults::JournalHasher). */
-std::uint64_t
-fnv1a(const std::string &text)
-{
-    std::uint64_t state = 0xcbf29ce484222325ULL;
-    for (unsigned char c : text) {
-        state ^= c;
-        state *= 0x100000001b3ULL;
-    }
-    return state;
-}
-
-} // namespace
 
 const char *
 protectionSchemeName(ProtectionScheme scheme)
@@ -161,7 +147,7 @@ ProtectionPlan::identity() const
 std::uint64_t
 ProtectionPlan::identityHash() const
 {
-    return fnv1a(identity());
+    return fnv1a64(identity());
 }
 
 } // namespace fsp::sim

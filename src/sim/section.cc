@@ -7,33 +7,15 @@
 
 #include <algorithm>
 
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace fsp::sim {
 
 namespace {
 
-/** FNV-1a 64-bit, byte-at-a-time (same fold as faults::JournalHasher). */
-class Fnv
-{
-  public:
-    void
-    update(std::uint64_t value)
-    {
-        for (unsigned i = 0; i < 8; ++i) {
-            state_ ^= (value >> (8 * i)) & 0xff;
-            state_ *= 0x100000001b3ULL;
-        }
-    }
-
-    std::uint64_t value() const { return state_; }
-
-  private:
-    std::uint64_t state_ = 0xcbf29ce484222325ULL;
-};
-
 void
-hashOperand(Fnv &hasher, const Operand &operand)
+hashOperand(Fnv1a64 &hasher, const Operand &operand)
 {
     hasher.update(static_cast<std::uint64_t>(operand.kind));
     hasher.update(operand.reg);
@@ -50,10 +32,10 @@ hashOperand(Fnv &hasher, const Operand &operand)
 std::uint64_t
 combine(std::uint64_t a, std::uint64_t b)
 {
-    Fnv hasher;
+    Fnv1a64 hasher;
     hasher.update(a);
     hasher.update(b);
-    return hasher.value();
+    return hasher.digest();
 }
 
 /** Sentinel folded into the last section's tail hash. */
@@ -64,7 +46,7 @@ constexpr std::uint64_t kTailSeed = 0x7461696c2d656e64ULL; // "tail-end"
 std::uint64_t
 instructionContentHash(const Instruction &insn, std::uint32_t staticIndex)
 {
-    Fnv hasher;
+    Fnv1a64 hasher;
     hasher.update(static_cast<std::uint64_t>(insn.op));
     hasher.update(static_cast<std::uint64_t>(insn.type));
     hasher.update(static_cast<std::uint64_t>(insn.stype));
@@ -85,7 +67,7 @@ instructionContentHash(const Instruction &insn, std::uint32_t staticIndex)
                         : std::int64_t{insn.target} -
                               std::int64_t{staticIndex};
     hasher.update(static_cast<std::uint64_t>(relative));
-    return hasher.value();
+    return hasher.digest();
 }
 
 SectionedTrace
@@ -113,26 +95,26 @@ splitTrace(const std::vector<Instruction> &code,
     // record* or after an executed barrier, so guard-failed issues can
     // never move a boundary), folding content / prefix-state hashes as
     // we go.  Tail hashes are rolled up backwards afterwards.
-    Fnv prefix_state; // fold over all executed dest-writes seen so far
+    Fnv1a64 prefix_state; // fold over all executed dest-writes seen so far
     std::uint64_t executed_total = 0;  // executed records consumed
     std::size_t executed_in_section = 0;
     std::size_t next_boundary = 0;     // index into boundaries[]
     std::uint32_t write_offset = 0;    // executed dest-writes in section
     bool any_executed = false;
 
-    Fnv content;
+    Fnv1a64 content;
     TraceSection current;
     current.firstRecord = 0;
-    current.prefixStateHash = prefix_state.value();
+    current.prefixStateHash = prefix_state.digest();
 
     auto close_section = [&](std::uint32_t end_record) {
         current.recordCount = end_record - current.firstRecord;
-        current.contentHash = content.value();
+        current.contentHash = content.digest();
         result.sections.push_back(current);
-        content = Fnv{};
+        content = Fnv1a64{};
         current = TraceSection{};
         current.firstRecord = end_record;
-        current.prefixStateHash = prefix_state.value();
+        current.prefixStateHash = prefix_state.digest();
         executed_in_section = 0;
         write_offset = 0;
     };

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace fsp {
@@ -36,12 +37,7 @@ std::uint64_t
 deriveSeed(std::uint64_t parent, std::string_view label)
 {
     // FNV-1a over the label, folded into the parent, then mixed.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (unsigned char c : label) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    std::uint64_t state = parent ^ h;
+    std::uint64_t state = parent ^ fnv1a64(label);
     return splitMix64(state);
 }
 

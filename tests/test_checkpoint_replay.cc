@@ -423,8 +423,10 @@ TEST(CheckpointAnalysis, FacadeSwitchMatchesPrunedCampaigns)
 {
     const apps::KernelSpec *spec = apps::findKernel("PathFinder/K1");
     analysis::KernelAnalysis on(*spec, apps::Scale::Small);
-    analysis::KernelAnalysis off(*spec, apps::Scale::Small);
-    off.setCheckpointsEnabled(false);
+    analysis::AnalysisConfig no_checkpoints;
+    no_checkpoints.checkpoints = false;
+    analysis::KernelAnalysis off(*spec, apps::Scale::Small,
+                                 no_checkpoints);
     EXPECT_FALSE(off.checkpointsActive());
     EXPECT_TRUE(on.checkpointsActive());
 

@@ -353,7 +353,8 @@ TEST(FaultModelJournal, ResumeUnderDifferentModelRejected)
     std::remove(path.c_str());
 }
 
-/** The facade route: setFaultModel() steers serial and engine runs. */
+/** The facade route: AnalysisConfig::faultModel steers serial and
+ *  engine runs. */
 TEST(FaultModelFacade, AnalyzerForwardsModelToEngines)
 {
     const apps::KernelSpec *spec = apps::findKernel("PathFinder/K1");

@@ -571,8 +571,8 @@ TEST(SectionCacheCampaign, ShardedWorkersShareOneDirectory)
 
         // Pass 0 (cold) and pass 1 (warm): each shard is an
         // independent journaled engine attached to the shared cache
-        // directory, exactly as the service's shard-worker processes
-        // are; the folded result comes from the deterministic journal
+        // directory, exactly as `fsp campaign --shard` processes are;
+        // the folded result comes from the deterministic journal
         // merge, which re-folds in global site order.
         for (int pass = 0; pass < 2; ++pass) {
             SCOPED_TRACE(pass);

@@ -312,8 +312,9 @@ TEST(SlicedPruning, AnalyzerDisableSwitchCoversBothPaths)
 {
     const apps::KernelSpec *spec = apps::findKernel("MVT/K1");
     analysis::KernelAnalysis on(*spec, apps::Scale::Small);
-    analysis::KernelAnalysis off(*spec, apps::Scale::Small);
-    off.setSlicingEnabled(false);
+    analysis::AnalysisConfig no_slicing;
+    no_slicing.slicing = false;
+    analysis::KernelAnalysis off(*spec, apps::Scale::Small, no_slicing);
     EXPECT_FALSE(off.slicingActive());
 
     pruning::PruningConfig config;

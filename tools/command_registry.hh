@@ -2,16 +2,12 @@
  * @file
  * Table-driven subcommand registry for the `fsp` front end.
  *
- * fsp used to dispatch on a chain of argv[1] string compares split
- * across two translation units (fsp.cc for the analysis commands,
- * fsp_service_cmds.cc guarded by an isServiceCommand() probe), with a
- * hand-maintained usage string listing the commands a third time.  The
- * registry replaces all of that: each command registers once with its
- * name and one-line summary, the top-level --help is generated from
- * the table, and dispatch is a lookup.  Every handler owns its full
- * argv and parses its own OptionTable (from index 2), so commands with
- * disjoint flag sets -- `serve` takes no kernel at all -- coexist
- * without a shared table rejecting each other's options.
+ * Each command registers once with its name and one-line summary, the
+ * top-level --help is generated from the table, and dispatch is a
+ * lookup.  Every handler owns its full argv and parses its own
+ * OptionTable (from index 2), so commands with disjoint flag sets --
+ * `list` takes none, `merge` adds --shards to the shared set --
+ * coexist without a shared table rejecting each other's options.
  */
 
 #ifndef FSP_TOOLS_COMMAND_REGISTRY_HH
@@ -62,12 +58,6 @@ class CommandRegistry
     std::string tool_;
     std::vector<Command> commands_;
 };
-
-/**
- * Register the service subcommands (serve, submit, merge, shutdown,
- * shard-worker).  Implemented in fsp_service_cmds.cc.
- */
-void registerServiceCommands(CommandRegistry &registry);
 
 } // namespace fsp::tools
 

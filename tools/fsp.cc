@@ -2,20 +2,24 @@
  * @file
  * `fsp` -- the command-line front end to the library.
  *
- * Subcommands are registered in a table-driven CommandRegistry shared
- * with the service commands (fsp_service_cmds.cc); the top-level
- * --help is generated from that table, and each command parses its own
- * OptionTable.  The analysis commands accept the shared tool option
- * set (analysis/cli_options.hh); run `fsp <command> --help` for the
- * generated list.
+ * Subcommands are registered in a table-driven CommandRegistry; the
+ * top-level --help is generated from that table, and each command
+ * parses its own OptionTable.  The analysis commands accept the shared
+ * tool option set (analysis/cli_options.hh); run `fsp <command> --help`
+ * for the generated list.
  *
  * `fsp campaign ... --journal p.fspj` makes the pruned campaign
  * durable: re-running with `--resume` skips already-journaled sites
- * and still produces a bit-identical profile.  `fsp protect` plans a
- * partial thread protection scheme under an overhead budget and
- * verifies the achieved SDC reduction with a protected re-run.
+ * and still produces a bit-identical profile.  `fsp campaign ...
+ * --shard I/N --journal BASE` runs one of N shards of the same
+ * campaign into its own journal (re-running resumes it), and `fsp
+ * merge ... --journal BASE --shards N` folds the N shard journals into
+ * the single-process profile.  `fsp protect` plans a partial thread
+ * protection scheme under an overhead budget and verifies the achieved
+ * SDC reduction with a protected re-run.
  */
 
+#include <charconv>
 #include <cstdlib>
 #include <functional>
 #include <iostream>
@@ -28,6 +32,8 @@
 #include "analysis/protection_planner.hh"
 #include "analysis/report.hh"
 #include "apps/app.hh"
+#include "faults/journal_merge.hh"
+#include "faults/shard_plan.hh"
 #include "pruning/loops.hh"
 #include "sim/disasm.hh"
 #include "sim/protection.hh"
@@ -109,6 +115,64 @@ analysisConfigFor(const analysis::CommonCliOptions &common,
     config.execMetrics = &obs.exec;
     return config;
 }
+
+/**
+ * One kernel's pruned campaign and its identity, set up the one way
+ * every campaign command sets it up: facade from the shared flags,
+ * pruning pipeline, journal key, fault-model hash.  `fsp campaign`
+ * (whole or one shard) and `fsp merge` both derive identity here, so
+ * shard journals, their merge and a single-process run agree by
+ * construction.
+ */
+struct PrunedCampaign
+{
+    PrunedCampaign(const apps::KernelSpec &spec,
+                   const analysis::CommonCliOptions &common)
+        : obs(common.progressEvery),
+          ka(spec, common.scale, analysisConfigFor(common, obs),
+             common.seed + 41),
+          pruned(ka.prune(common.pruning, &obs.registry)),
+          key(analysis::campaignJournalKey(spec, common.scale, common)),
+          modelHash(common.campaign.faultModel
+                        ? common.campaign.faultModel->identityHash()
+                        : faults::defaultFaultModel()->identityHash())
+    {
+    }
+
+    analysis::Observability obs;
+    analysis::KernelAnalysis ka;
+    pruning::PruningResult pruned;
+    faults::JournalKey key;
+    std::uint64_t modelHash;
+};
+
+/** Most shards one campaign may be split into. */
+constexpr std::uint32_t kMaxShards = 1u << 16;
+
+/** `--shard I/N`: run shard I (0-based) of an N-way split. */
+struct ShardSelection
+{
+    std::uint32_t index = 0;
+    std::uint32_t count = 0; ///< 0: not sharded
+
+    /** Parse "I/N" with 0 <= I < N <= kMaxShards; false otherwise. */
+    bool
+    parse(const std::string &text)
+    {
+        const char *end = text.data() + text.size();
+        std::uint32_t i = 0, n = 0;
+        auto [slash, ec] = std::from_chars(text.data(), end, i);
+        if (ec != std::errc() || slash == end || *slash != '/')
+            return false;
+        auto [rest, ec2] = std::from_chars(slash + 1, end, n);
+        if (ec2 != std::errc() || rest != end || i >= n ||
+            n > kMaxShards)
+            return false;
+        index = i;
+        count = n;
+        return true;
+    }
+};
 
 /** Honour --metrics-out: export the snapshot; false on I/O failure. */
 bool
@@ -293,13 +357,10 @@ cmdPrune(int argc, char **argv)
     if (!spec)
         return 1;
     const auto &common = opts.common;
-    analysis::Observability obs(common.progressEvery);
-    analysis::KernelAnalysis ka(*spec, common.scale,
-                                analysisConfigFor(common, obs),
-                                common.seed + 41);
-    auto pruned = ka.prune(common.pruning, &obs.registry);
-    obs.finalize();
-    if (!exportMetrics(obs, common.metricsOut))
+    PrunedCampaign campaign(*spec, common);
+    const auto &pruned = campaign.pruned;
+    campaign.obs.finalize();
+    if (!exportMetrics(campaign.obs, common.metricsOut))
         return 1;
     const auto &c = pruned.counts;
     if (common.json) {
@@ -308,7 +369,7 @@ cmdPrune(int argc, char **argv)
         report.scale = common.scale;
         report.seed = common.seed;
         report.stageCounts = &pruned.counts;
-        report.obs = &obs;
+        report.obs = &campaign.obs;
         report.extra = [&pruned](JsonWriter &json) {
             json.field("representatives",
                        static_cast<std::uint64_t>(
@@ -334,22 +395,100 @@ cmdPrune(int argc, char **argv)
     return 0;
 }
 
+/**
+ * `fsp campaign --shard I/N`: run shard I of the pruned campaign into
+ * its own journal, resuming whatever an earlier run of the same
+ * command committed there.  The shard is a pruned result whose sites
+ * are the shard's sub-list and whose assumed-masked weight is left for
+ * `fsp merge` to fold, so the facade runs it like any pruned campaign
+ * (section cache included).  No baseline runs.
+ */
+int
+runCampaignShard(PrunedCampaign &campaign,
+                 const analysis::CommonCliOptions &common,
+                 const ShardSelection &shard)
+{
+    faults::ShardPlan plan = faults::planShards(
+        campaign.key, campaign.pruned.sites, shard.count);
+    faults::ShardPlanEntry &entry = plan.shards[shard.index];
+    const std::string path = faults::shardJournalPath(
+        common.journalPath, shard.index, shard.count);
+
+    faults::CampaignOptions options = common.campaign;
+    options.observer = campaign.obs.observer();
+    options.journalPath = path;
+    options.resume = true;
+    options.journalKey = entry.key;
+    try {
+        faults::prepareShardJournal(path, entry, campaign.modelHash);
+        pruning::PruningResult slice;
+        slice.sites = std::move(entry.sites);
+        campaign.ka.runPrunedCampaignDetailed(slice, options);
+    } catch (const faults::JournalError &error) {
+        std::cerr << "journal error: " << error.what() << "\n";
+        return 1;
+    }
+    const faults::CampaignStats stats =
+        campaign.ka.campaignEngine(options).lastStats();
+    campaign.obs.finalize();
+    if (!exportMetrics(campaign.obs, common.metricsOut))
+        return 1;
+
+    if (common.json) {
+        JsonWriter json(std::cout);
+        json.beginObject();
+        json.field("kernel", campaign.ka.spec().fullName());
+        json.field("shard", shard.index);
+        json.field("shards", shard.count);
+        json.field("sites", stats.sites);
+        json.field("injectedSites", stats.injectedSites);
+        json.field("replayedSites", stats.replayedSites);
+        json.field("journal", path);
+        json.endObject();
+        return 0;
+    }
+    std::cout << campaign.ka.spec().fullName() << " shard " << shard.index
+              << "/" << shard.count << ": " << stats.sites
+              << " sites (" << stats.injectedSites << " injected, "
+              << stats.replayedSites << " from the journal) -> " << path
+              << "\n";
+    return 0;
+}
+
 int
 cmdCampaign(int argc, char **argv)
 {
     KernelOptions opts;
-    if (int rc = parseKernelCommand("fsp campaign <App/Kx> [options]",
-                                    argc, argv, opts))
+    ShardSelection shard;
+    int rc = parseKernelCommand(
+        "fsp campaign <App/Kx> [--shard I/N --journal BASE] [options]",
+        argc, argv, opts, [&shard](OptionTable &table) {
+            table.option(
+                "--shard", "I/N",
+                "run only shard I (0-based) of N into the shard\n"
+                "journal BASE.shard<I>of<N>.fspj (needs --journal\n"
+                "BASE; no baseline); re-running resumes it, and\n"
+                "`fsp merge` folds the N journals",
+                [&shard](const std::string &arg) {
+                    return shard.parse(arg);
+                });
+        });
+    if (rc)
         return rc < 0 ? 0 : rc;
+    const auto &common = opts.common;
+    if (shard.count != 0 && common.journalPath.empty()) {
+        std::cerr << "--shard needs --journal <base path>\n";
+        return 2;
+    }
     const apps::KernelSpec *spec = requireKernel(opts);
     if (!spec)
         return 1;
-    const auto &common = opts.common;
-    analysis::Observability obs(common.progressEvery);
-    analysis::KernelAnalysis ka(*spec, common.scale,
-                                analysisConfigFor(common, obs),
-                                common.seed + 41);
-    auto pruned = ka.prune(common.pruning, &obs.registry);
+    PrunedCampaign campaign(*spec, common);
+    if (shard.count != 0)
+        return runCampaignShard(campaign, common, shard);
+
+    analysis::Observability &obs = campaign.obs;
+    analysis::KernelAnalysis &ka = campaign.ka;
     if (!common.json) {
         std::cout << spec->fullName() << "\n  engine: "
                   << ka.injector().slicingDescription() << ", "
@@ -364,11 +503,11 @@ cmdCampaign(int argc, char **argv)
     faults::CampaignOptions pruned_options = common.campaign;
     pruned_options.observer = obs.observer();
     if (!pruned_options.journalPath.empty())
-        pruned_options.journalKey =
-            analysis::campaignJournalKey(*spec, common.scale, common);
+        pruned_options.journalKey = campaign.key;
     faults::CampaignResult estimated;
     try {
-        estimated = ka.runPrunedCampaignDetailed(pruned, pruned_options);
+        estimated =
+            ka.runPrunedCampaignDetailed(campaign.pruned, pruned_options);
     } catch (const faults::JournalError &error) {
         std::cerr << "journal error: " << error.what() << "\n";
         return 1;
@@ -471,11 +610,9 @@ cmdProtect(int argc, char **argv)
     if (!spec)
         return 1;
     const auto &common = opts.common;
-    analysis::Observability obs(common.progressEvery);
-    analysis::KernelAnalysis ka(*spec, common.scale,
-                                analysisConfigFor(common, obs),
-                                common.seed + 41);
-    auto pruned = ka.prune(common.pruning, &obs.registry);
+    PrunedCampaign campaign(*spec, common);
+    analysis::Observability &obs = campaign.obs;
+    analysis::KernelAnalysis &ka = campaign.ka;
     if (!common.json) {
         std::cout << spec->fullName() << "\n  engine: "
                   << ka.injector().slicingDescription() << ", "
@@ -489,15 +626,14 @@ cmdProtect(int argc, char **argv)
     faults::CampaignOptions options = common.campaign;
     options.observer = obs.observer();
     if (!options.journalPath.empty())
-        options.journalKey =
-            analysis::campaignJournalKey(*spec, common.scale, common);
+        options.journalKey = campaign.key;
 
     planner_config.verify = !no_verify;
     planner_config.metrics = &obs.registry;
     analysis::ProtectionPlanner planner(ka, planner_config);
     analysis::ProtectionOutcome outcome;
     try {
-        outcome = planner.plan(pruned, options);
+        outcome = planner.plan(campaign.pruned, options);
     } catch (const faults::JournalError &error) {
         std::cerr << "journal error: " << error.what() << "\n";
         return 1;
@@ -553,6 +689,111 @@ cmdProtect(int argc, char **argv)
     return 0;
 }
 
+int
+cmdMerge(int argc, char **argv)
+{
+    KernelOptions opts;
+    unsigned shards = 0;
+    std::string merged_journal;
+    bool allow_incomplete = false;
+    int rc = parseKernelCommand(
+        "fsp merge <App/Kx> --journal BASE --shards N [options]", argc,
+        argv, opts, [&](OptionTable &table) {
+            table.optionUnsigned("--shards", "N",
+                                 "shard count of the campaign", shards);
+            table.optionString(
+                "--merged-journal", "PATH",
+                "also emit a merged single-campaign journal\n"
+                "(resumable by `fsp campaign`)",
+                merged_journal);
+            table.flag("--allow-incomplete",
+                       "merge an in-flight campaign (folds only\n"
+                       "classified sites; not comparable to a full run)",
+                       allow_incomplete);
+        });
+    if (rc)
+        return rc < 0 ? 0 : rc;
+    const auto &common = opts.common;
+    if (common.journalPath.empty() || shards == 0 ||
+        shards > kMaxShards) {
+        std::cerr << "fsp merge needs --journal <base path> and --shards "
+                     "N (1.."
+                  << kMaxShards << ")\n";
+        return 2;
+    }
+    const apps::KernelSpec *spec = requireKernel(opts);
+    if (!spec)
+        return 1;
+
+    // The same identity every shard ran under; the merge validates each
+    // journal against it, so a knob mismatch is caught as a stale-hash
+    // error, never folded silently.
+    PrunedCampaign campaign(*spec, common);
+    std::vector<std::string> paths;
+    for (unsigned shard = 0; shard < shards; ++shard)
+        paths.push_back(
+            faults::shardJournalPath(common.journalPath, shard, shards));
+    faults::MergeOptions merge_options;
+    merge_options.requireComplete = !allow_incomplete;
+    merge_options.mergedJournalPath = merged_journal;
+
+    faults::MergeReport report;
+    try {
+        report = faults::mergeShardJournals(campaign.key,
+                                            campaign.pruned.sites,
+                                            campaign.modelHash, paths,
+                                            merge_options);
+    } catch (const faults::JournalError &error) {
+        std::cerr << "merge error: " << error.what() << "\n";
+        return 1;
+    }
+
+    // Same post-campaign fold as runPrunedCampaignDetailed: the weight
+    // the pruning stages proved masked joins the distribution here.
+    report.result.dist.addWeight(faults::Outcome::Masked,
+                                 campaign.pruned.assumedMaskedWeight);
+
+    if (common.json) {
+        JsonWriter json(std::cout);
+        json.beginObject();
+        json.field("kernel", spec->fullName());
+        json.field("scale", apps::scaleName(common.scale));
+        json.field("seed", common.seed);
+        json.field("shards", shards);
+        json.field("campaignSites", report.campaignSites);
+        json.field("sitesDone", report.sitesDone);
+        json.field("complete", report.complete);
+        // Same profile shape as `fsp campaign --json`, so merged and
+        // single-process output diff cleanly.
+        analysis::writeOutcomeProfile(json, "prunedEstimate",
+                                      report.result.dist);
+        report.result.anatomy.writeJson(json);
+        json.beginObject("mergePhases");
+        json.field("replaySeconds", report.phases.replaySeconds);
+        json.field("injectSeconds", report.phases.injectSeconds);
+        json.field("foldSeconds", report.phases.foldSeconds);
+        json.field("workers",
+                   static_cast<std::uint64_t>(report.phases.workers));
+        json.endObject();
+        json.endObject();
+        return 0;
+    }
+
+    std::cout << spec->fullName() << " merged from " << shards
+              << " shard journal" << (shards == 1 ? "" : "s") << "\n"
+              << "  sites:    " << report.sitesDone << "/"
+              << report.campaignSites
+              << (report.complete ? " (complete)" : " (incomplete)")
+              << "\n"
+              << "  estimate (" << report.result.dist.runs()
+              << " runs): " << report.result.dist.summary() << "\n";
+    if (report.result.anatomy.sdcRuns() > 0)
+        std::cout << "  " << report.result.anatomy.summary() << "\n";
+    if (!merged_journal.empty())
+        std::cout << "  merged journal: " << merged_journal << "\n";
+    return 0;
+}
+
 } // namespace
 
 int
@@ -574,6 +815,7 @@ main(int argc, char **argv)
                   "plan + verify partial thread protection under a "
                   "budget",
                   cmdProtect});
-    tools::registerServiceCommands(registry);
+    registry.add(
+        {"merge", "merge shard journals into one profile", cmdMerge});
     return registry.dispatch(argc, argv, std::cout, std::cerr);
 }
