@@ -274,8 +274,8 @@ BM_CampaignEngine(benchmark::State &state, const char *kernel,
     const apps::KernelSpec *spec = apps::findKernel(kernel);
     apps::KernelSetup setup = spec->setup(apps::Scale::Small, 42);
     faults::Injector injector(setup.program, setup.launch, setup.memory,
-                              setup.outputs);
-    injector.setSlicingEnabled(sliced);
+                              setup.outputs,
+                              faults::InjectorOptions{.slicing = sliced});
     const auto sites = sampledSites(kernel);
 
     bench::PerfCounters perf;

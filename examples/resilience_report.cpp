@@ -72,8 +72,7 @@ main(int argc, char **argv)
 
     analysis::Observability obs(common.progressEvery);
     analysis::AnalysisConfig facade;
-    facade.slicing = common.campaign.allowSlicing;
-    facade.checkpoints = common.campaign.allowCheckpoints;
+    facade.engine = common.engine;
     facade.execMetrics = &obs.exec;
     analysis::KernelAnalysis ka(*spec, common.scale, facade);
 

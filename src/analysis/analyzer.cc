@@ -16,30 +16,23 @@ namespace fsp::analysis {
 
 KernelAnalysis::KernelAnalysis(const apps::KernelSpec &spec,
                                apps::Scale scale, std::uint64_t input_seed)
-    : spec_(spec), setup_(spec.setup(scale, input_seed))
+    : KernelAnalysis(spec, scale, AnalysisConfig{}, input_seed)
 {
-    executor_ =
-        std::make_unique<sim::Executor>(setup_.program, setup_.launch);
 }
 
 KernelAnalysis::KernelAnalysis(const apps::KernelSpec &spec,
                                apps::Scale scale,
                                const AnalysisConfig &config,
                                std::uint64_t input_seed)
-    : KernelAnalysis(spec, scale, input_seed)
+    : spec_(spec), setup_(spec.setup(scale, input_seed)),
+      injector_options_(config.engine)
 {
-    configure(config);
-}
-
-void
-KernelAnalysis::configure(const AnalysisConfig &config)
-{
-    applySlicing(config.slicing);
-    applyCheckpoints(config.checkpoints);
-    if (config.faultModel)
-        applyFaultModel(config.faultModel, config.modelSeed);
-    applySectionCacheDir(config.sectionCacheDir);
-    applyExecMetrics(config.execMetrics);
+    executor_ =
+        std::make_unique<sim::Executor>(setup_.program, setup_.launch);
+    executor_->setMetricsSink(config.execMetrics);
+    if (!config.sectionCacheDir.empty())
+        section_cache_ =
+            std::make_unique<faults::SectionCache>(config.sectionCacheDir);
 }
 
 const faults::FaultSpace &
@@ -53,55 +46,18 @@ KernelAnalysis::space()
 faults::Injector &
 KernelAnalysis::injector()
 {
-    if (!injector_) {
-        faults::InjectorOptions options;
-        options.checkpoints = checkpoints_enabled_;
+    if (!injector_)
         injector_.emplace(setup_.program, setup_.launch, setup_.memory,
-                          setup_.outputs, options);
-        // Settings stored before the first (golden-run-triggering)
-        // construction take effect now.
-        injector_->setSlicingEnabled(slicing_enabled_);
-        if (pending_model_set_) {
-            injector_->setFaultModel(pending_model_, pending_model_seed_);
-            pending_model_.reset();
-            pending_model_set_ = false;
-        }
-    }
+                          setup_.outputs, injector_options_);
     return *injector_;
-}
-
-void
-KernelAnalysis::applySlicing(bool enabled)
-{
-    slicing_enabled_ = enabled;
-    if (injector_) {
-        injector_->setSlicingEnabled(enabled);
-        // The engine's worker injectors are clones; rebuild them with
-        // the new setting on next use.
-        engine_.reset();
-    }
-}
-
-void
-KernelAnalysis::applyCheckpoints(bool enabled)
-{
-    checkpoints_enabled_ = enabled;
-    if (injector_) {
-        injector_->setCheckpointsEnabled(enabled);
-        engine_.reset();
-    }
 }
 
 pruning::PruningResult
 KernelAnalysis::prune(const pruning::PruningConfig &config,
                       metrics::Registry *metrics)
 {
-    // The pipeline itself never injects, but the campaigns that follow
-    // it do: honour the config's A/B switch before they run.
-    if (!config.execution.checkpoints)
-        applyCheckpoints(false);
     const faults::SlicingPlan *slicing =
-        injector().slicingEnabled() ? &injector().slicingPlan() : nullptr;
+        injector_options_.slicing ? &injector().slicingPlan() : nullptr;
     return pruning::prunePipeline(*executor_, setup_.memory, space(),
                                   config, slicing, metrics);
 }
@@ -140,20 +96,6 @@ KernelAnalysis::runPrunedCampaignDetailed(
     result.dist.addWeight(faults::Outcome::Masked,
                           pruned.assumedMaskedWeight);
     return result;
-}
-
-void
-KernelAnalysis::applySectionCacheDir(const std::string &dir)
-{
-    if (dir.empty()) {
-        section_cache_.reset();
-        section_index_.reset();
-        return;
-    }
-    if (section_cache_ && section_cache_->dir() == dir)
-        return;
-    section_cache_ = std::make_unique<faults::SectionCache>(dir);
-    section_index_.reset();
 }
 
 const faults::SectionIndex &
@@ -201,23 +143,6 @@ KernelAnalysis::buildSectionIndex(
     return *section_index_;
 }
 
-void
-KernelAnalysis::applyFaultModel(
-    std::shared_ptr<const faults::FaultModel> model,
-    std::uint64_t modelSeed)
-{
-    if (!injector_) {
-        pending_model_ = std::move(model);
-        pending_model_seed_ = modelSeed;
-        pending_model_set_ = true;
-        return;
-    }
-    injector_->setFaultModel(std::move(model), modelSeed);
-    // Engine workers are clones of the injector; rebuild on next use so
-    // they pick the new model up.
-    engine_.reset();
-}
-
 faults::CampaignResult
 KernelAnalysis::runBaseline(std::size_t runs, std::uint64_t seed)
 {
@@ -235,9 +160,18 @@ KernelAnalysis::runBaseline(std::size_t runs, std::uint64_t seed,
 faults::CampaignEngine &
 KernelAnalysis::campaignEngine(const faults::CampaignOptions &options)
 {
-    if (!engine_ || !engine_options_.sameEngineConfig(options)) {
+    // Without a model in the options the workers inherit injector()'s,
+    // which may have been set since the cached engine was built.
+    const faults::Injector &prototype = injector();
+    const bool stale_model =
+        engine_ && !options.faultModel &&
+        (engine_->faultModel().identity() !=
+             prototype.faultModel().identity() ||
+         engine_->faultModelSeed() != prototype.faultModelSeed());
+    if (!engine_ || stale_model ||
+        !engine_options_.sameEngineConfig(options)) {
         engine_ =
-            std::make_unique<faults::CampaignEngine>(injector(), options);
+            std::make_unique<faults::CampaignEngine>(prototype, options);
         engine_options_ = options;
     } else {
         // sameEngineConfig ignores the result-neutral fields, so a

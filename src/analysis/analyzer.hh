@@ -32,24 +32,15 @@
 namespace fsp::analysis {
 
 /**
- * Everything a KernelAnalysis can be configured with, in one struct:
- * pass it at construction or through one configure() call.  Fields
- * apply lazily where the facade is lazy: engine strategy knobs take
- * effect when the injector is first built, so configuring a fresh
- * analysis never triggers the golden run early.
+ * Everything a KernelAnalysis is built with, fixed at construction.
+ * The execution strategy reaches the injector when it is first built,
+ * so constructing an analysis never triggers the golden run early.
  */
 struct AnalysisConfig
 {
-    /** Permit the CTA-sliced injection path. */
-    bool slicing = true;
-
-    /** Permit checkpoint recording and checkpointed temporal replay. */
-    bool checkpoints = true;
-
-    /** Fault-model strategy; null selects the paper's single-bit
-     * destination flip.  modelSeed seeds model randomness. */
-    std::shared_ptr<const faults::FaultModel> faultModel;
-    std::uint64_t modelSeed = 0;
+    /** Execution strategy (CTA slicing, checkpointed replay) of the
+     * facade's injector and of every campaign engine cloned from it. */
+    faults::InjectorOptions engine;
 
     /** Section-cache directory for incremental campaigns; empty
      * disables the reuse path. */
@@ -77,17 +68,10 @@ class KernelAnalysis
     KernelAnalysis(const apps::KernelSpec &spec, apps::Scale scale,
                    std::uint64_t input_seed = 42);
 
-    /** As above, applying @p config before anything else runs. */
+    /** As above, built with @p config. */
     KernelAnalysis(const apps::KernelSpec &spec, apps::Scale scale,
                    const AnalysisConfig &config,
                    std::uint64_t input_seed = 42);
-
-    /**
-     * Apply a full configuration in one call.  Safe at any point;
-     * strategy changes invalidate the cached campaign engine (workers
-     * are injector clones).
-     */
-    void configure(const AnalysisConfig &config);
 
     const apps::KernelSpec &spec() const { return spec_; }
     const sim::Executor &executor() const { return *executor_; }
@@ -97,10 +81,14 @@ class KernelAnalysis
     /** Eq. 1 enumeration (lazy; one fault-free profiling run). */
     const faults::FaultSpace &space();
 
-    /** Fault injector (lazy; runs the golden execution once). */
+    /**
+     * Fault injector (lazy; runs the golden execution once).  Campaign
+     * engines clone it, so a model set here with setFaultModel() reaches
+     * every worker of the next campaign that names no model itself.
+     */
     faults::Injector &injector();
 
-    /** @{ CTA-sliced engine state (AnalysisConfig::slicing). */
+    /** @{ CTA-sliced engine state (AnalysisConfig::engine.slicing). */
     /** Will injection runs use the sliced path? */
     bool slicingActive() { return injector().slicingActive(); }
 
@@ -113,20 +101,19 @@ class KernelAnalysis
     /** @} */
 
     /** Will injection runs resume from checkpoints
-     *  (AnalysisConfig::checkpoints)? */
+     *  (AnalysisConfig::engine.checkpoints)? */
     bool checkpointsActive() { return injector().checkpointsActive(); }
 
     /** The model the facade's injector currently injects under
-     *  (AnalysisConfig::faultModel; single-bit destination flip by
-     *  default). */
+     *  (single-bit destination flip by default). */
     const faults::FaultModel &faultModel() { return injector().faultModel(); }
 
     /**
-     * Run the progressive pruning pipeline.  The injector's slicing
-     * plan scopes the traced profiling run to the representatives'
-     * CTAs when config.execution.slicedProfiling permits.  @p metrics
-     * optionally receives the pipeline's per-stage gauges (see
-     * prunePipeline); it never affects results.
+     * Run the progressive pruning pipeline.  When the injector slices,
+     * its slicing plan scopes the traced profiling run to the
+     * representatives' CTAs.  @p metrics optionally receives the
+     * pipeline's per-stage gauges (see prunePipeline); it never
+     * affects results.
      */
     pruning::PruningResult prune(const pruning::PruningConfig &config,
                                  metrics::Registry *metrics = nullptr);
@@ -161,12 +148,11 @@ class KernelAnalysis
                               const faults::CampaignOptions &options);
 
     /**
-     * @{ Incremental campaigns.  Attaching a cache directory
-     * (AnalysisConfig::sectionCacheDir) makes every subsequent
-     * runPrunedCampaignDetailed consult (and feed) the
-     * content-addressed section result cache; an empty dir detaches.
-     * The index can also be built eagerly for engine callers that
-     * drive CampaignOptions themselves.
+     * @{ Incremental campaigns.  A cache directory
+     * (AnalysisConfig::sectionCacheDir) makes every
+     * runPrunedCampaignDetailed consult (and feed) the content-addressed
+     * section result cache.  The index can also be built eagerly for
+     * engine callers that drive CampaignOptions themselves.
      */
     faults::SectionCache *sectionCache() { return section_cache_.get(); }
 
@@ -193,26 +179,16 @@ class KernelAnalysis
     /**
      * The campaign engine, cloned from injector() (golden run shared
      * with the serial path).  Rebuilt when @p options configures a
-     * different engine (see CampaignOptions::sameEngineConfig); the
-     * cached engine's most recent CampaignStats are reachable through
-     * the returned reference's lastStats().
+     * different engine (see CampaignOptions::sameEngineConfig) or,
+     * when @p options names no fault model, when injector()'s model or
+     * model seed changed since the cached engine was built; the cached
+     * engine's most recent CampaignStats are reachable through the
+     * returned reference's lastStats().
      */
     faults::CampaignEngine &
     campaignEngine(const faults::CampaignOptions &options = {});
 
   private:
-    /** @{ configure()'s per-field steps. */
-    void applySlicing(bool enabled);
-    void applyCheckpoints(bool enabled);
-    void applyFaultModel(std::shared_ptr<const faults::FaultModel> model,
-                         std::uint64_t modelSeed);
-    void applySectionCacheDir(const std::string &dir);
-    void applyExecMetrics(sim::ExecMetrics *sink)
-    {
-        executor_->setMetricsSink(sink);
-    }
-    /** @} */
-
     const apps::KernelSpec &spec_;
     apps::KernelSetup setup_;
     std::unique_ptr<sim::Executor> executor_;
@@ -220,14 +196,7 @@ class KernelAnalysis
     std::optional<faults::Injector> injector_;
     std::unique_ptr<faults::CampaignEngine> engine_;
     faults::CampaignOptions engine_options_; ///< config engine_ was built with
-    bool checkpoints_enabled_ = true;
-    bool slicing_enabled_ = true;
-    /** Model configured before the injector exists; applied at its
-     *  first construction (injector()) so configuring a fresh analysis
-     *  never forces the golden run. */
-    std::shared_ptr<const faults::FaultModel> pending_model_;
-    std::uint64_t pending_model_seed_ = 0;
-    bool pending_model_set_ = false;
+    faults::InjectorOptions injector_options_; ///< strategy for injector_
     std::unique_ptr<faults::SectionCache> section_cache_;
     std::optional<faults::SectionIndex> section_index_;
 };

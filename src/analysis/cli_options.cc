@@ -40,19 +40,13 @@ addCommonOptions(OptionTable &table, CommonCliOptions &opts)
                "force full-grid injection runs even when the\n"
                "kernel's CTAs are independent (A/B validation);\n"
                "outcomes are bit-identical either way",
-               [&opts] {
-                   opts.campaign.allowSlicing = false;
-                   opts.pruning.execution.slicedProfiling = false;
-               });
+               [&opts] { opts.engine.slicing = false; });
     table.flag("--no-checkpoints",
                "execute every injection run from instruction\n"
                "zero instead of resuming from golden-run\n"
                "checkpoints (A/B validation); outcomes are\n"
                "bit-identical either way",
-               [&opts] {
-                   opts.campaign.allowCheckpoints = false;
-                   opts.pruning.execution.checkpoints = false;
-               });
+               [&opts] { opts.engine.checkpoints = false; });
     table.optionString(
         "--fault-model", "SPEC",
         "fault-model strategy mapping each (thread, instr,\n"

@@ -14,6 +14,7 @@
 
 #include "apps/app.hh"
 #include "faults/campaign_engine.hh"
+#include "faults/injector.hh"
 #include "pruning/pipeline.hh"
 #include "util/cli.hh"
 
@@ -34,6 +35,7 @@ struct CommonCliOptions
     std::string faultModel;         ///< --fault-model spec; empty = default
     pruning::PruningConfig pruning;
     faults::CampaignOptions campaign;
+    faults::InjectorOptions engine; ///< --no-slicing, --no-checkpoints
 };
 
 /**

@@ -134,15 +134,6 @@ resolveChunkSize(const CampaignOptions &options, std::size_t sites,
                                         target_chunks);
 }
 
-/** Prototype-injector knobs implied by the campaign options. */
-InjectorOptions
-injectorOptionsFor(const CampaignOptions &options)
-{
-    InjectorOptions injector_options;
-    injector_options.checkpoints = options.allowCheckpoints;
-    return injector_options;
-}
-
 /**
  * Scope guard attaching an observer to every worker injector for one
  * campaign and detaching on exit -- the observer chain lives on
@@ -178,13 +169,8 @@ CampaignEngine::CampaignEngine(const sim::Program &program,
                                const sim::GlobalMemory &image,
                                std::vector<OutputRegion> outputs,
                                CampaignOptions options)
-    // Pass `options` by copy rather than move: the Injector temporary
-    // also reads it (injectorOptionsFor) and argument evaluation order
-    // is unspecified.
-    : CampaignEngine(
-          Injector(program, config, image, std::move(outputs),
-                   injectorOptionsFor(options)),
-          options)
+    : CampaignEngine(Injector(program, config, image, std::move(outputs)),
+                     std::move(options))
 {
 }
 
@@ -195,10 +181,6 @@ CampaignEngine::CampaignEngine(const Injector &prototype,
     injectors_.reserve(pool_.workerCount());
     for (unsigned i = 0; i < pool_.workerCount(); ++i) {
         injectors_.push_back(prototype.clone());
-        if (!options_.allowSlicing)
-            injectors_.back()->setSlicingEnabled(false);
-        if (!options_.allowCheckpoints)
-            injectors_.back()->setCheckpointsEnabled(false);
         if (options_.faultModel) {
             // Model randomness is keyed off the campaign seed, making
             // site -> plan a pure function of the campaign identity.

@@ -159,21 +159,6 @@ struct CampaignOptions
     /** @} */
 
     /**
-     * Permit the sliced injection path when the kernel's CTAs are
-     * independent.  false forces full-grid runs on every worker
-     * (useful for A/B validation and benchmarking).
-     */
-    bool allowSlicing = true;
-
-    /**
-     * Permit checkpointed temporal replay.  false skips checkpoint
-     * recording (when the engine constructs its own prototype) and
-     * forces every worker to execute injections from instruction zero
-     * (the A/B switch behind fsp/resilience_report --no-checkpoints).
-     */
-    bool allowCheckpoints = true;
-
-    /**
      * Fault-model strategy applied to every worker injector; null
      * selects the paper's default (single-bit destination flip).
      * Shared const -- models are immutable and thread-safe.  Model
@@ -234,8 +219,6 @@ struct CampaignOptions
     bool sameEngineConfig(const CampaignOptions &other) const
     {
         return workers == other.workers && chunkSize == other.chunkSize &&
-               allowSlicing == other.allowSlicing &&
-               allowCheckpoints == other.allowCheckpoints &&
                journalPath == other.journalPath &&
                resume == other.resume &&
                journalKey.tag == other.journalKey.tag &&
@@ -335,7 +318,8 @@ class CampaignEngine
 
     /**
      * Build from an existing injector whose golden state is simply
-     * cloned -- no additional golden run.
+     * cloned -- no additional golden run.  Workers inherit the
+     * prototype's execution strategy (InjectorOptions).
      */
     CampaignEngine(const Injector &prototype,
                    CampaignOptions options = {});
@@ -392,6 +376,12 @@ class CampaignEngine
     faultModel() const
     {
         return injectors_[0]->faultModel();
+    }
+
+    /** The seed of the workers' model randomness. */
+    std::uint64_t faultModelSeed() const
+    {
+        return injectors_[0]->faultModelSeed();
     }
 
     /** Do the workers' injectors use the sliced path? */

@@ -126,7 +126,8 @@ Injector::Injector(const sim::Program &program,
                    const sim::GlobalMemory &image,
                    std::vector<OutputRegion> outputs,
                    const InjectorOptions &options)
-    : program_(program), image_(image), outputs_(std::move(outputs)),
+    : program_(program), options_(options), image_(image),
+      outputs_(std::move(outputs)),
       executor_(program_, budgetedConfig(config)), scratch_(image_)
 {
     // The caller's setup pokes left dirty marks in the copied images;
@@ -135,10 +136,10 @@ Injector::Injector(const sim::Program &program,
 
     // Recording is eager so clone() can share the immutable store:
     // workers never record, they only read.
-    if (options.checkpoints) {
+    if (options_.checkpoints) {
         checkpoints_ = std::make_shared<const CheckpointStore>(
             CheckpointStore::record(executor_, image_, golden_icnt_,
-                                    options.checkpointing));
+                                    options_.checkpointing));
     }
 
     model_ = defaultFaultModel();
@@ -176,7 +177,7 @@ std::string
 Injector::slicingDescription() const
 {
     std::string text = slicingActive() ? "sliced (" : "full-grid (";
-    if (!slicing_enabled_)
+    if (!options_.slicing)
         text += "slicing disabled";
     else
         text += slicing_->reason();
@@ -193,8 +194,6 @@ Injector::slicingDescription() const
 std::string
 Injector::checkpointDescription() const
 {
-    if (!checkpoints_enabled_)
-        return "checkpoints off (disabled)";
     if (!checkpoints_)
         return "checkpoints off (not recorded)";
     if (checkpoints_->empty())

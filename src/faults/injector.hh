@@ -15,8 +15,8 @@
  * Orthogonally, golden-run checkpoints (faults/checkpoint.hh) cut the
  * temporal axis: injections resume from the latest capture point
  * at-or-before the fault's dynamic index instead of re-executing the
- * kernel from instruction zero.  Both axes compose, both have A/B
- * switches, and neither ever changes a classification.
+ * kernel from instruction zero.  Both axes compose, both are chosen
+ * once in InjectorOptions, and neither ever changes a classification.
  */
 
 #ifndef FSP_FAULTS_INJECTOR_HH
@@ -81,14 +81,22 @@ struct InjectionStats
  */
 void writeInjectionStats(JsonWriter &json, const InjectionStats &stats);
 
-/** Engine knobs fixed at Injector construction. */
+/**
+ * The execution strategy, fixed at Injector construction and carried
+ * by clone(), so every campaign worker runs the prototype's strategy.
+ * Both fast paths are pure speedups: outcomes are bit-identical with
+ * either switched off (the A/B behind --no-slicing / --no-checkpoints).
+ */
 struct InjectorOptions
 {
+    /** Run only the faulty CTA when the kernel's CTAs are independent. */
+    bool slicing = true;
+
     /** Record golden checkpoints and resume injections from them. */
     bool checkpoints = true;
 
     /** Recording cadence when checkpoints are on. */
-    CheckpointOptions checkpointing;
+    CheckpointOptions checkpointing{};
 };
 
 /**
@@ -107,7 +115,7 @@ class Injector
      * @param image pristine initialised global memory (copied; restored
      *        before every injection).
      * @param outputs the application's output regions.
-     * @param options engine knobs (checkpoint recording).
+     * @param options execution strategy (slicing, checkpoints).
      */
     Injector(const sim::Program &program, const sim::LaunchConfig &config,
              const sim::GlobalMemory &image,
@@ -116,11 +124,12 @@ class Injector
 
     /**
      * Duplicate this injector without redoing the golden run: the
-     * golden outputs, hang budget, slicing plan and pristine image are
-     * copied (the plan itself is shared, immutable).  The clone
-     * references the same Program and starts with zeroed stats.  This
-     * is how the parallel campaign engine gives each worker a private
-     * injector while paying for golden-state derivation only once.
+     * golden outputs, hang budget, slicing plan, pristine image and
+     * execution strategy are copied (the plan itself is shared,
+     * immutable).  The clone references the same Program and starts
+     * with zeroed stats.  This is how the parallel campaign engine
+     * gives each worker a private injector while paying for
+     * golden-state derivation only once.
      */
     std::unique_ptr<Injector> clone() const;
 
@@ -152,6 +161,7 @@ class Injector
     {
         return model_;
     }
+    std::uint64_t faultModelSeed() const { return model_ctx_.seed; }
     /** @} */
 
     /** @{ Protection-plan selection (none by default).  Faults firing
@@ -186,15 +196,12 @@ class Injector
         return golden_icnt_[thread];
     }
 
-    /** @{ Per-site strategy selection. */
-    void setSlicingEnabled(bool enabled) { slicing_enabled_ = enabled; }
-    bool slicingEnabled() const { return slicing_enabled_; }
-
+    /** @{ CTA slicing (InjectorOptions::slicing). */
     /** Will injections actually use the sliced path? */
     bool
     slicingActive() const
     {
-        return slicing_enabled_ && slicing_->independent();
+        return options_.slicing && slicing_->independent();
     }
 
     /** The CTA-independence analysis result for this kernel. */
@@ -204,19 +211,12 @@ class Injector
     std::string slicingDescription() const;
     /** @} */
 
-    /** @{ Checkpointed temporal replay (A/B switch mirrors slicing). */
-    void setCheckpointsEnabled(bool enabled)
-    {
-        checkpoints_enabled_ = enabled;
-    }
-    bool checkpointsEnabled() const { return checkpoints_enabled_; }
-
+    /** @{ Checkpointed temporal replay (InjectorOptions::checkpoints). */
     /** Will injections actually resume from checkpoints? */
     bool
     checkpointsActive() const
     {
-        return checkpoints_enabled_ && checkpoints_ &&
-               !checkpoints_->empty();
+        return checkpoints_ && !checkpoints_->empty();
     }
 
     /** The recorded store; null when built with checkpoints off. */
@@ -283,6 +283,7 @@ class Injector
     // executor_ because budgetedConfig() -- invoked while initialising
     // executor_ -- performs the golden run and fills them in.
     const sim::Program &program_;
+    InjectorOptions options_;
     sim::GlobalMemory image_;
     std::vector<OutputRegion> outputs_;
     std::uint64_t golden_max_icnt_ = 0;
@@ -293,8 +294,6 @@ class Injector
     sim::GlobalMemory scratch_;
     /** Immutable once recorded; shared across clone()s like slicing_. */
     std::shared_ptr<const CheckpointStore> checkpoints_;
-    bool slicing_enabled_ = true;
-    bool checkpoints_enabled_ = true;
     /** Immutable strategy, shared across clone()s. */
     std::shared_ptr<const FaultModel> model_;
     /** Immutable protection set, shared across clone()s; may be null. */

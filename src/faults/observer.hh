@@ -4,8 +4,8 @@
  * stock observers built on it.
  *
  * The engine emits typed events through one interface and everything
- * -- the metrics bridge, live progress reporting, the service's
- * progress frames -- is an observer composed into an ObserverList.
+ * -- the metrics bridge, live progress reporting -- is an observer
+ * composed into an ObserverList.
  *
  * Threading contract (one rule per event, stated on each struct):
  *

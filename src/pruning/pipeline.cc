@@ -7,7 +7,6 @@
 
 #include "faults/slicing.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace fsp::pruning {
 
@@ -154,15 +153,11 @@ prunePipeline(const sim::Executor &executor, const sim::GlobalMemory &image,
             pruneThreads(space, executor.config().block.count(),
                          grouping_prng, config.thread.repsPerGroup);
     }
-    const faults::SlicingPlan *profiling_slicing =
-        config.execution.slicedProfiling ? slicing : nullptr;
-    result.slicedProfiling =
-        profiling_slicing && profiling_slicing->independent();
+    result.slicedProfiling = slicing && slicing->independent();
     {
         auto timer = stage_metrics.timeStage(1);
         result.plans = buildThreadPlans(executor, image, result.grouping,
-                                        profiling_slicing,
-                                        &result.profiledCtas);
+                                        slicing, &result.profiledCtas);
     }
     result.counts.afterThread = 0;
     for (const auto &plan : result.plans)
@@ -180,33 +175,17 @@ prunePipeline(const sim::Executor &executor, const sim::GlobalMemory &image,
     result.counts.afterInstruction = live;
     stage_metrics.setSites(2, live);
 
-    // Stage 3: loop-wise pruning.  Plans are independent (each forks
-    // its PRNG from its own thread id), so the stage fans out over a
-    // pool when configured; per-plan stats are folded in plan order so
-    // the result never depends on worker count.
+    // Stage 3: loop-wise pruning.  Each plan forks its sampling PRNG
+    // from its own thread id.
     if (config.loop.iterations > 0) {
         auto timer = stage_metrics.timeStage(3);
         Prng loop_prng = prng.fork("loops");
-        auto prune_plan = [&](ThreadPlan &plan) {
+        for (ThreadPlan &plan : result.plans) {
             Prng thread_prng =
                 loop_prng.fork("thread-" + std::to_string(plan.thread));
-            return applyLoopPruning(plan, executor.program(),
-                                    config.loop.iterations, thread_prng);
-        };
-
-        std::vector<LoopPruningStats> per_plan(result.plans.size());
-        if (config.execution.workers == 1 || result.plans.size() <= 1) {
-            for (std::size_t i = 0; i < result.plans.size(); ++i)
-                per_plan[i] = prune_plan(result.plans[i]);
-        } else {
-            ThreadPool pool(config.execution.workers);
-            pool.parallelFor(result.plans.size(),
-                             [&](std::size_t i, unsigned) {
-                                 per_plan[i] =
-                                     prune_plan(result.plans[i]);
-                             });
-        }
-        for (const LoopPruningStats &stats : per_plan) {
+            LoopPruningStats stats =
+                applyLoopPruning(plan, executor.program(),
+                                 config.loop.iterations, thread_prng);
             result.loopStats.loopsSampled += stats.loopsSampled;
             result.loopStats.iterationsTotal += stats.iterationsTotal;
             result.loopStats.iterationsKept += stats.iterationsKept;

@@ -72,43 +72,10 @@ struct PruningConfig
         bool predZeroFlagOnly = true;
     };
 
-    /** How the pipeline (and the campaigns after it) execute. */
-    struct ExecutionStage
-    {
-        /**
-         * Worker threads for the per-plan loop-pruning stage; 1 keeps
-         * the stage serial, 0 selects the hardware default.  Results
-         * are identical at any setting: each plan's sampling PRNG is
-         * forked from its thread id, and stage statistics are folded
-         * in plan order.
-         */
-        unsigned workers = 1;
-
-        /**
-         * When a SlicingPlan proving CTA independence is supplied to
-         * prunePipeline, restrict the traced profiling run to the CTAs
-         * that contain representative threads.  Traces are
-         * bit-identical either way (independent CTAs execute the same
-         * in isolation); this only skips simulating CTAs nobody looks
-         * at.
-         */
-        bool slicedProfiling = true;
-
-        /**
-         * Permit checkpointed temporal replay in the campaigns run
-         * over the pruned space (forwarded by the analysis facade to
-         * the injector/campaign engines; the pipeline stages
-         * themselves do not inject).  The A/B switch behind
-         * `--no-checkpoints`.
-         */
-        bool checkpoints = true;
-    };
-
     ThreadStage thread;
     InstructionStage instruction;
     LoopStage loop;
     BitStage bit;
-    ExecutionStage execution;
 };
 
 /** Fault-site counts after each progressive stage (Fig. 10 series). */
@@ -158,8 +125,10 @@ struct PruningResult
  * @param space enumerated fault space of the launch.
  * @param config stage parameters.
  * @param slicing optional CTA-independence proof; when it declares the
- *        kernel independent and config.execution.slicedProfiling is set, the
- *        traced profiling run executes only the representatives' CTAs.
+ *        kernel independent, the traced profiling run executes only the
+ *        representatives' CTAs.  Traces are bit-identical either way
+ *        (independent CTAs execute the same in isolation); this only
+ *        skips simulating CTAs nobody looks at.
  * @param metrics optional registry receiving per-stage wall time
  *        (fsp_pruning_stage_seconds) and surviving-site-count
  *        (fsp_pruning_stage_sites) gauges; never affects results.
@@ -178,7 +147,7 @@ PruningResult prunePipeline(const sim::Executor &executor,
  * drive individual stages (Figs. 5-8).
  *
  * @param slicing optional independence proof enabling a CTA-sliced
- *        traced run (see PruningConfig::ExecutionStage::slicedProfiling).
+ *        traced run (see prunePipeline).
  * @param profiledCtas when non-null, receives the number of CTAs the
  *        traced run executed.
  */

@@ -23,7 +23,6 @@
 #include "sim/executor.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 
@@ -1104,27 +1103,12 @@ stepCtaImpl(MachineState &ms, CtaContext &ctx, ExecEngine engine,
     }
 }
 
-/** FSP_EXEC_ENGINE overrides the constructor's engine choice. */
-ExecEngine
-engineFromEnv(ExecEngine requested)
-{
-    const char *v = std::getenv("FSP_EXEC_ENGINE");
-    if (v == nullptr)
-        return requested;
-    const std::string s(v);
-    if (s == "reference")
-        return ExecEngine::Reference;
-    if (s == "decoded")
-        return ExecEngine::Decoded;
-    return requested;
-}
-
 } // namespace
 
 Executor::Executor(const Program &program, LaunchConfig config,
                    ExecEngine engine)
     : program_(program), config_(std::move(config)),
-      engine_(engineFromEnv(engine))
+      engine_(engine)
 {
     program_.validate();
     FSP_ASSERT(config_.grid.count() > 0 && config_.block.count() > 0,

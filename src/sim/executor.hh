@@ -13,7 +13,7 @@
  *  - ExecEngine::Reference: the original per-step instruction walk,
  *    kept as the differential oracle (tests/test_decoded_executor.cc
  *    asserts bit-identical traces, outputs and footprints).
- * FSP_EXEC_ENGINE=reference|decoded overrides the choice globally.
+ * The Executor constructor alone chooses between them.
  */
 
 #ifndef FSP_SIM_EXECUTOR_HH
@@ -148,7 +148,7 @@ class Executor
     /**
      * @param program decoded kernel (must outlive the executor).
      * @param config launch geometry and parameters (copied).
-     * @param engine interpreter engine (FSP_EXEC_ENGINE overrides).
+     * @param engine interpreter engine.
      */
     Executor(const Program &program, LaunchConfig config,
              ExecEngine engine = ExecEngine::Decoded);

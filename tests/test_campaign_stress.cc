@@ -155,10 +155,7 @@ TEST(CampaignStress, WeightedPropertyOverRandomLists)
         auto model = faults::parseFaultModel(
             model_matrix[trial % model_matrix.size()], &error);
         ASSERT_NE(model, nullptr) << error;
-        analysis::AnalysisConfig facade;
-        facade.faultModel = std::move(model);
-        facade.modelSeed = 2026;
-        ka.configure(facade);
+        ka.injector().setFaultModel(std::move(model), 2026);
 
         // A fresh random weighted list per trial: random length, sites
         // drawn from the space, weights spread over orders of

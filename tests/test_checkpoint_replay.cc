@@ -11,7 +11,7 @@
  * crash/hang sites and sites whose sliced attempt aborts on a hazard.
  * Additional tests pin the stepping engine (watermark-stepped CTAs
  * finish bit-identical to one-shot runs), CheckpointStore::find()
- * semantics, and the A/B switches at every layer.
+ * semantics, and the construction-time A/B switch at every layer.
  */
 
 #include <gtest/gtest.h>
@@ -155,6 +155,15 @@ TEST(CheckpointStore, FindReturnsLatestUsableCheckpoint)
     EXPECT_NE(store->find(0, lt, icnt - 1), nullptr);
 }
 
+/** A second injector for @p setup built with checkpoints off. */
+std::unique_ptr<Injector>
+fromStartInjector(const apps::KernelSetup &setup)
+{
+    return std::make_unique<Injector>(setup.program, setup.launch,
+                                      setup.memory, setup.outputs,
+                                      InjectorOptions{.checkpoints = false});
+}
+
 TEST(CheckpointEquivalence, EveryKernelSerialAndParallel)
 {
     fsp::setVerboseLogging(false);
@@ -170,10 +179,9 @@ TEST(CheckpointEquivalence, EveryKernelSerialAndParallel)
         Injector prototype(setup.program, setup.launch, setup.memory,
                            setup.outputs);
 
-        // Serial: checkpointed replay vs from-start, same clone state.
+        // Serial: checkpointed replay vs from-start.
         auto replay = prototype.clone();
-        auto scratch = prototype.clone();
-        scratch->setCheckpointsEnabled(false);
+        auto scratch = fromStartInjector(setup);
         EXPECT_FALSE(scratch->checkpointsActive());
         CampaignResult replay_result = reference::runSiteList(*replay, sites);
         CampaignResult scratch_result = reference::runSiteList(*scratch, sites);
@@ -216,8 +224,7 @@ TEST(CheckpointEquivalence, CrashAndHangSitesMatchFromStart)
     Injector prototype(setup.program, setup.launch, setup.memory,
                        setup.outputs);
     auto replay = prototype.clone();
-    auto scratch = prototype.clone();
-    scratch->setCheckpointsEnabled(false);
+    auto scratch = fromStartInjector(setup);
 
     bool saw_other = false;
     for (const auto &site : sites) {
@@ -254,34 +261,9 @@ TEST(CheckpointEngine, GemmRestoresAndSkipsWork)
     EXPECT_EQ(injector.stats().checkpointRestores, 1u);
     EXPECT_GT(injector.stats().skippedDynInstrs, 0u);
 
-    auto from_start = injector.clone();
-    from_start->setCheckpointsEnabled(false);
+    auto from_start = fromStartInjector(setup);
     EXPECT_EQ(from_start->inject({t, late, 7}), with);
     EXPECT_EQ(from_start->stats().checkpointRestores, 0u);
-}
-
-TEST(CheckpointEngine, DisableSwitchIsReversible)
-{
-    const apps::KernelSpec *spec = apps::findKernel("GEMM/K1");
-    apps::KernelSetup setup = spec->setup(apps::Scale::Small, 42);
-    Injector injector(setup.program, setup.launch, setup.memory,
-                      setup.outputs);
-    ASSERT_TRUE(injector.checkpointsActive());
-
-    injector.setCheckpointsEnabled(false);
-    EXPECT_FALSE(injector.checkpointsActive());
-    EXPECT_NE(injector.checkpointDescription().find("checkpoints off"),
-              std::string::npos);
-    const std::uint64_t t = injector.executor().config().block.count() - 1;
-    const std::uint64_t late = injector.goldenICnt(t) - 20;
-    injector.inject({t, late, 3});
-    EXPECT_EQ(injector.stats().checkpointRestores, 0u);
-
-    // The recorded store survives the toggle.
-    injector.setCheckpointsEnabled(true);
-    EXPECT_TRUE(injector.checkpointsActive());
-    injector.inject({t, late, 3});
-    EXPECT_EQ(injector.stats().checkpointRestores, 1u);
 }
 
 TEST(CheckpointEngine, CloneSharesTheRecordedStore)
@@ -318,16 +300,15 @@ TEST(CheckpointEngine, ParallelSwitchForcesFromStartWorkers)
     Injector prototype(setup.program, setup.launch, setup.memory,
                        setup.outputs);
 
-    CampaignOptions on;
-    on.workers = 4;
-    CampaignEngine with(prototype, on);
+    CampaignOptions options;
+    options.workers = 4;
+    CampaignEngine with(prototype, options);
     ASSERT_TRUE(with.checkpointsActive());
     CampaignResult a = with.run(sites);
     EXPECT_GT(with.lastStats().injection.checkpointRestores, 0u);
 
-    CampaignOptions off = on;
-    off.allowCheckpoints = false;
-    CampaignEngine without(prototype, off);
+    // A prototype built with checkpoints off gives from-start workers.
+    CampaignEngine without(*fromStartInjector(setup), options);
     EXPECT_FALSE(without.checkpointsActive());
     CampaignResult b = without.run(sites);
     EXPECT_EQ(without.lastStats().injection.checkpointRestores, 0u);
@@ -395,11 +376,11 @@ TEST(CheckpointEngine, HazardFallbackComposesWithCheckpoints)
     EXPECT_EQ(injector.stats().checkpointRestores, 3u);
 
     // From-start execution agrees on both sites.
-    auto from_start = injector.clone();
-    from_start->setCheckpointsEnabled(false);
-    EXPECT_EQ(from_start->inject({1, 4, 0}), Outcome::SDC);
-    EXPECT_EQ(from_start->inject({1, 3, 2}), Outcome::SDC);
-    EXPECT_EQ(from_start->stats().checkpointRestores, 0u);
+    Injector from_start(k.program, k.launch, k.memory, k.outputs,
+                        InjectorOptions{.checkpoints = false});
+    EXPECT_EQ(from_start.inject({1, 4, 0}), Outcome::SDC);
+    EXPECT_EQ(from_start.inject({1, 3, 2}), Outcome::SDC);
+    EXPECT_EQ(from_start.stats().checkpointRestores, 0u);
 }
 
 TEST(CheckpointEngine, TinyKernelBelowIntervalRecordsNothing)
@@ -424,7 +405,7 @@ TEST(CheckpointAnalysis, FacadeSwitchMatchesPrunedCampaigns)
     const apps::KernelSpec *spec = apps::findKernel("PathFinder/K1");
     analysis::KernelAnalysis on(*spec, apps::Scale::Small);
     analysis::AnalysisConfig no_checkpoints;
-    no_checkpoints.checkpoints = false;
+    no_checkpoints.engine.checkpoints = false;
     analysis::KernelAnalysis off(*spec, apps::Scale::Small,
                                  no_checkpoints);
     EXPECT_FALSE(off.checkpointsActive());
@@ -433,11 +414,7 @@ TEST(CheckpointAnalysis, FacadeSwitchMatchesPrunedCampaigns)
     pruning::PruningConfig config;
     auto a = on.prune(config);
     auto da = on.runPrunedCampaign(a);
-
-    // The config switch alone must reach the injector too.
-    pruning::PruningConfig no_ckpt = config;
-    no_ckpt.execution.checkpoints = false;
-    auto b = off.prune(no_ckpt);
+    auto b = off.prune(config);
     auto db = off.runPrunedCampaign(b);
 
     expectSameDist(da, db);

@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 #include "apps/app.hh"
@@ -285,30 +284,6 @@ TEST(DecodedExecutor, StepWatermarkAndSnapshotParity)
     EXPECT_EQ(ref_end, sim::CtaStepStatus::Retired);
     EXPECT_EQ(ref_state.executedDynInstrs, dec_state.executedDynInstrs);
     EXPECT_EQ(imageOf(ref_end_mem), imageOf(dec_mem));
-}
-
-/** FSP_EXEC_ENGINE overrides the constructor's engine selection. */
-TEST(DecodedExecutor, EngineEnvOverride)
-{
-    const apps::KernelSpec *spec = apps::findKernel("GEMM/K1");
-    ASSERT_NE(spec, nullptr);
-    apps::KernelSetup setup = spec->setup(apps::Scale::Small, 42);
-
-    ::setenv("FSP_EXEC_ENGINE", "reference", 1);
-    Executor forced_ref(setup.program, setup.launch,
-                        ExecEngine::Decoded);
-    EXPECT_EQ(forced_ref.engine(), ExecEngine::Reference);
-
-    ::setenv("FSP_EXEC_ENGINE", "decoded", 1);
-    Executor forced_dec(setup.program, setup.launch,
-                        ExecEngine::Reference);
-    EXPECT_EQ(forced_dec.engine(), ExecEngine::Decoded);
-
-    ::setenv("FSP_EXEC_ENGINE", "bogus", 1);
-    Executor fallback(setup.program, setup.launch,
-                      ExecEngine::Reference);
-    EXPECT_EQ(fallback.engine(), ExecEngine::Reference);
-    ::unsetenv("FSP_EXEC_ENGINE");
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -231,6 +232,18 @@ TEST(FaultModelEquivalence, BitIdenticalAcrossWorkersSlicingCheckpoints)
         Prng prng(2026);
         auto weighted = weightSites(ka.space().sampleSites(8, prng));
 
+        // Engines inherit their prototype's strategy: one prototype per
+        // (slicing, checkpoints) pair of kConfigs.
+        const apps::KernelSetup &setup = ka.setup();
+        std::map<std::pair<bool, bool>, faults::Injector> prototypes;
+        for (const Config &config : kConfigs) {
+            prototypes.try_emplace(
+                std::make_pair(config.slicing, config.checkpoints),
+                setup.program, setup.launch, setup.memory, setup.outputs,
+                faults::InjectorOptions{.slicing = config.slicing,
+                                        .checkpoints = config.checkpoints});
+        }
+
         for (const std::string &name : faults::builtinFaultModels()) {
             SCOPED_TRACE("model=" + name);
             auto model = makeModel(name);
@@ -251,9 +264,9 @@ TEST(FaultModelEquivalence, BitIdenticalAcrossWorkersSlicingCheckpoints)
                              " ckpt=" + std::to_string(config.checkpoints));
                 faults::CampaignOptions options = reference_options;
                 options.workers = config.workers;
-                options.allowSlicing = config.slicing;
-                options.allowCheckpoints = config.checkpoints;
-                faults::CampaignEngine engine(ka.injector(), options);
+                faults::CampaignEngine engine(
+                    prototypes.at({config.slicing, config.checkpoints}),
+                    options);
                 expectSameResult(expected, engine.run(weighted));
             }
         }
@@ -353,8 +366,8 @@ TEST(FaultModelJournal, ResumeUnderDifferentModelRejected)
     std::remove(path.c_str());
 }
 
-/** The facade route: AnalysisConfig::faultModel steers serial and
- *  engine runs. */
+/** The facade route: a model set on ka.injector() steers the cached
+ *  engine, also when it changes after the engine was built. */
 TEST(FaultModelFacade, AnalyzerForwardsModelToEngines)
 {
     const apps::KernelSpec *spec = apps::findKernel("PathFinder/K1");
@@ -362,17 +375,32 @@ TEST(FaultModelFacade, AnalyzerForwardsModelToEngines)
     analysis::KernelAnalysis ka(*spec, apps::Scale::Small);
     EXPECT_EQ(ka.faultModel().kind(), "single-bit");
 
-    auto model = makeModel("multi-bit:width=3");
-    analysis::AnalysisConfig facade;
-    facade.faultModel = model;
-    facade.modelSeed = 2026;
-    ka.configure(facade);
-    EXPECT_EQ(ka.faultModel().identity(), model->identity());
+    auto first = makeModel("multi-bit:width=3");
+    ka.injector().setFaultModel(first, 2026);
+    EXPECT_EQ(ka.faultModel().identity(), first->identity());
 
     // Engine workers clone the facade injector, so campaigns run under
     // the facade's model even without CampaignOptions::faultModel.
-    auto &engine = ka.campaignEngine({});
-    EXPECT_EQ(engine.faultModel().identity(), model->identity());
+    faults::CampaignEngine *engine = &ka.campaignEngine({});
+    EXPECT_EQ(engine->faultModel().identity(), first->identity());
+    EXPECT_EQ(engine->faultModelSeed(), 2026u);
+
+    // A model or seed set after the engine was built rebuilds it.
+    auto second = makeModel("multi-bit:width=2");
+    ka.injector().setFaultModel(second, 2026);
+    engine = &ka.campaignEngine({});
+    EXPECT_EQ(engine->faultModel().identity(), second->identity());
+
+    ka.injector().setFaultModel(second, 7);
+    engine = &ka.campaignEngine({});
+    EXPECT_EQ(engine->faultModelSeed(), 7u);
+
+    // The rebuilt engine classifies as one built afresh from the
+    // facade injector.
+    Prng prng(2026);
+    auto weighted = weightSites(ka.space().sampleSites(8, prng));
+    faults::CampaignEngine fresh(ka.injector(), {});
+    expectSameResult(fresh.run(weighted), engine->run(weighted));
 }
 
 } // namespace

@@ -620,12 +620,10 @@ TEST(Observability, BundleExportsPipelineAndCampaignFamilies)
 {
     const apps::KernelSpec *spec = apps::findKernel("MVT/K1");
     ASSERT_NE(spec, nullptr);
-    analysis::KernelAnalysis ka(*spec, apps::Scale::Small);
-
     analysis::Observability obs;
     analysis::AnalysisConfig facade;
     facade.execMetrics = &obs.exec;
-    ka.configure(facade);
+    analysis::KernelAnalysis ka(*spec, apps::Scale::Small, facade);
     pruning::PruningConfig config;
     auto pruned = ka.prune(config, &obs.registry);
     ASSERT_FALSE(pruned.sites.empty());

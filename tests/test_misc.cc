@@ -200,22 +200,19 @@ TEST(PruningConfig, CopySemantics)
     source.thread.repsPerGroup = 3;
     source.loop.iterations = 5;
     source.bit.samples = 9;
-    source.execution.workers = 7;
-    source.execution.slicedProfiling = false;
 
     pruning::PruningConfig copy(source);
     EXPECT_EQ(copy.loop.iterations, 5u);
     EXPECT_EQ(copy.bit.samples, 9u);
-    EXPECT_FALSE(copy.execution.slicedProfiling);
     copy.thread.repsPerGroup = 4;
     EXPECT_EQ(copy.thread.repsPerGroup, 4u);
     EXPECT_EQ(source.thread.repsPerGroup, 3u);
 
     pruning::PruningConfig assigned;
     assigned = source;
-    assigned.execution.workers = 1;
-    EXPECT_EQ(assigned.execution.workers, 1u);
-    EXPECT_EQ(source.execution.workers, 7u);
+    assigned.loop.iterations = 1;
+    EXPECT_EQ(assigned.loop.iterations, 1u);
+    EXPECT_EQ(source.loop.iterations, 5u);
 }
 
 TEST(Program, ListingAndValidation)

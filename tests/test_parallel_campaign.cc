@@ -186,31 +186,5 @@ TEST(CampaignEngine, AnalyzerParallelPathsMatchSerial)
     expectSameResult(serial_baseline, ka.runBaseline(60, 123, options));
 }
 
-TEST(CampaignEngine, PipelineWorkersDoNotChangePruning)
-{
-    const apps::KernelSpec *spec = apps::findKernel("HotSpot/K1");
-    ASSERT_NE(spec, nullptr);
-    analysis::KernelAnalysis ka(*spec, apps::Scale::Small);
-
-    pruning::PruningConfig serial_config;
-    auto serial = ka.prune(serial_config);
-
-    pruning::PruningConfig parallel_config;
-    parallel_config.execution.workers = 4;
-    auto parallel = ka.prune(parallel_config);
-
-    ASSERT_EQ(serial.sites.size(), parallel.sites.size());
-    for (std::size_t i = 0; i < serial.sites.size(); ++i) {
-        EXPECT_TRUE(serial.sites[i].site == parallel.sites[i].site);
-        EXPECT_EQ(serial.sites[i].weight, parallel.sites[i].weight);
-    }
-    EXPECT_EQ(serial.counts.afterLoop, parallel.counts.afterLoop);
-    EXPECT_EQ(serial.counts.afterBit, parallel.counts.afterBit);
-    EXPECT_EQ(serial.loopStats.prunedSites,
-              parallel.loopStats.prunedSites);
-    EXPECT_EQ(serial.loopStats.iterationsKept,
-              parallel.loopStats.iterationsKept);
-}
-
 } // namespace
 } // namespace fsp

@@ -19,7 +19,6 @@
 #include "analysis/protection_planner.hh"
 #include "apps/app.hh"
 #include "faults/campaign_engine.hh"
-#include "faults/fault_model.hh"
 #include "sim/protection.hh"
 
 namespace fsp {
@@ -231,33 +230,18 @@ TEST_F(ProtectionPlannerTest, AbortedVerificationResumesFromJournal)
     std::remove((path + ".protect").c_str());
 }
 
-TEST(AnalysisConfig, ConstructorAndConfigureApplyLazily)
+TEST(AnalysisConfig, ConstructorFixesEngineStrategy)
 {
     const apps::KernelSpec *spec = apps::findKernel("PathFinder/K1");
     ASSERT_NE(spec, nullptr);
 
     // Construction-time config: engine knobs reach the injector.
     analysis::AnalysisConfig facade;
-    facade.checkpoints = false;
-    facade.slicing = false;
+    facade.engine.checkpoints = false;
+    facade.engine.slicing = false;
     analysis::KernelAnalysis ka(*spec, apps::Scale::Small, facade);
     EXPECT_FALSE(ka.injector().checkpointsActive());
     EXPECT_FALSE(ka.injector().slicingActive());
-
-    // configure() before first injector use defers the model to the
-    // golden run instead of forcing one per knob.
-    analysis::KernelAnalysis lazy(*spec, apps::Scale::Small);
-    analysis::AnalysisConfig with_model;
-    std::string error;
-    with_model.faultModel =
-        faults::parseFaultModel("multi-bit:width=3", &error);
-    ASSERT_NE(with_model.faultModel, nullptr) << error;
-    with_model.modelSeed = 11;
-    lazy.configure(with_model);
-    EXPECT_EQ(lazy.faultModel().identity(),
-              lazy.injector().faultModel().identity());
-    EXPECT_NE(lazy.faultModel().identity().find("multi-bit"),
-              std::string::npos);
 }
 
 } // namespace

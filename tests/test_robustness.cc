@@ -136,12 +136,9 @@ TEST_P(ModelMatrix, InjectorClassifiesArbitrarySitesUnderModel)
     std::string error;
     auto model = faults::parseFaultModel(GetParam(), &error);
     ASSERT_NE(model, nullptr) << error;
-    analysis::AnalysisConfig facade;
-    facade.faultModel = std::move(model);
-    facade.modelSeed = 77;
-    ka.configure(facade);
-    EXPECT_EQ(ka.faultModel().identity(),
-              ka.injector().faultModel().identity());
+    const std::string identity = model->identity();
+    ka.injector().setFaultModel(std::move(model), 77);
+    EXPECT_EQ(ka.faultModel().identity(), identity);
 
     Prng prng(2026);
     auto sites = ka.space().sampleSites(40, prng);

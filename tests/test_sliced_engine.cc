@@ -5,10 +5,10 @@
  * The engine's contract is that slicing is a pure optimisation: for
  * every registered kernel, classifying the same site list with the
  * sliced path permitted must produce outcome distributions
- * bit-identical to forced full-grid runs -- serially and through the
- * parallel campaign engine at workers {2, 4, 8}.  Additional tests
- * pin the hazard-fallback path, fault-site validation, and the
- * sliced profiling run of the pruning pipeline.
+ * bit-identical to an injector built with slicing off -- serially and
+ * through the parallel campaign engine at workers {2, 4, 8}.
+ * Additional tests pin the hazard-fallback path, fault-site
+ * validation, and the sliced profiling run of the pruning pipeline.
  */
 
 #include <gtest/gtest.h>
@@ -41,6 +41,15 @@ expectSameDist(const OutcomeDist &a, const OutcomeDist &b)
         EXPECT_EQ(a.weightOf(o), b.weightOf(o)) << outcomeName(o);
 }
 
+/** A second injector for @p setup built with slicing off. */
+std::unique_ptr<Injector>
+fullGridInjector(const apps::KernelSetup &setup)
+{
+    return std::make_unique<Injector>(setup.program, setup.launch,
+                                      setup.memory, setup.outputs,
+                                      InjectorOptions{.slicing = false});
+}
+
 TEST(SlicedEquivalence, EveryKernelSerialAndParallel)
 {
     fsp::setVerboseLogging(false);
@@ -57,8 +66,7 @@ TEST(SlicedEquivalence, EveryKernelSerialAndParallel)
 
         // Serial: sliced engine vs forced full-grid, site by site.
         auto sliced = prototype.clone();
-        auto full = prototype.clone();
-        full->setSlicingEnabled(false);
+        auto full = fullGridInjector(setup);
         EXPECT_FALSE(full->slicingActive());
         CampaignResult sliced_result = reference::runSiteList(*sliced, sites);
         CampaignResult full_result = reference::runSiteList(*full, sites);
@@ -99,8 +107,7 @@ TEST(SlicedEquivalence, WeightedCampaignMatchesBitExactly)
     ASSERT_TRUE(prototype.slicingActive());
 
     auto sliced = prototype.clone();
-    auto full = prototype.clone();
-    full->setSlicingEnabled(false);
+    auto full = fullGridInjector(setup);
     CampaignResult a = reference::runWeightedSiteList(*sliced, sites);
     CampaignResult b = reference::runWeightedSiteList(*full, sites);
     expectSameDist(a.dist, b.dist);
@@ -146,8 +153,7 @@ TEST(SlicedEngine, DisablingSlicingForcesFullGrid)
     const apps::KernelSpec *spec = apps::findKernel("GEMM/K1");
     apps::KernelSetup setup = spec->setup(apps::Scale::Small, 42);
     Injector injector(setup.program, setup.launch, setup.memory,
-                      setup.outputs);
-    injector.setSlicingEnabled(false);
+                      setup.outputs, InjectorOptions{.slicing = false});
     EXPECT_FALSE(injector.slicingActive());
     EXPECT_NE(injector.slicingDescription().find("full-grid"),
               std::string::npos);
@@ -214,11 +220,11 @@ TEST(SlicedEngine, StoreHazardFallsBackToFullGrid)
     // injections, matching the serial campaign contract.
     EXPECT_EQ(injector.runsPerformed(), 2u);
 
-    // The fallback classification matches a slicing-disabled clone.
-    auto full = injector.clone();
-    full->setSlicingEnabled(false);
-    EXPECT_EQ(full->inject({1, 3, 2}), Outcome::SDC);
-    EXPECT_EQ(full->stats().hazardFallbacks, 0u);
+    // The fallback classification matches a slicing-disabled injector.
+    Injector full(k.program, k.launch, k.memory, k.outputs,
+                  InjectorOptions{.slicing = false});
+    EXPECT_EQ(full.inject({1, 3, 2}), Outcome::SDC);
+    EXPECT_EQ(full.stats().hazardFallbacks, 0u);
 }
 
 TEST(SlicedEngine, InvalidSitesAreReportedNotMasked)
@@ -261,8 +267,7 @@ TEST(SlicedEngine, CrashAndHangSitesMatchFullGridAfterRestore)
     Injector prototype(setup.program, setup.launch, setup.memory,
                        setup.outputs);
     auto sliced = prototype.clone();
-    auto full = prototype.clone();
-    full->setSlicingEnabled(false);
+    auto full = fullGridInjector(setup);
 
     bool saw_other = false;
     for (const auto &site : sites) {
@@ -282,14 +287,13 @@ TEST(SlicedPruning, SlicedProfilingMatchesFullProfiling)
     const apps::KernelSpec *spec = apps::findKernel("GEMM/K1");
     analysis::KernelAnalysis ka(*spec, apps::Scale::Small);
     ASSERT_TRUE(ka.slicingActive());
+    analysis::AnalysisConfig no_slicing;
+    no_slicing.engine.slicing = false;
+    analysis::KernelAnalysis full(*spec, apps::Scale::Small, no_slicing);
 
-    pruning::PruningConfig with;
-    with.execution.slicedProfiling = true;
-    pruning::PruningConfig without;
-    without.execution.slicedProfiling = false;
-
-    auto a = ka.prune(with);
-    auto b = ka.prune(without);
+    pruning::PruningConfig config;
+    auto a = ka.prune(config);
+    auto b = full.prune(config);
 
     EXPECT_TRUE(a.slicedProfiling);
     EXPECT_FALSE(b.slicedProfiling);
@@ -313,7 +317,7 @@ TEST(SlicedPruning, AnalyzerDisableSwitchCoversBothPaths)
     const apps::KernelSpec *spec = apps::findKernel("MVT/K1");
     analysis::KernelAnalysis on(*spec, apps::Scale::Small);
     analysis::AnalysisConfig no_slicing;
-    no_slicing.slicing = false;
+    no_slicing.engine.slicing = false;
     analysis::KernelAnalysis off(*spec, apps::Scale::Small, no_slicing);
     EXPECT_FALSE(off.slicingActive());
 
@@ -325,6 +329,19 @@ TEST(SlicedPruning, AnalyzerDisableSwitchCoversBothPaths)
     auto da = on.runPrunedCampaign(a);
     auto db = off.runPrunedCampaign(b);
     expectSameDist(da, db);
+
+    // Engines clone their prototype, strategy included: workers of an
+    // injector built with both fast paths off run neither.
+    const apps::KernelSetup &setup = on.setup();
+    Injector bare(setup.program, setup.launch, setup.memory, setup.outputs,
+                  InjectorOptions{.slicing = false, .checkpoints = false});
+    CampaignOptions options;
+    options.workers = 2;
+    CampaignEngine engine(bare, options);
+    EXPECT_FALSE(engine.slicingActive());
+    EXPECT_FALSE(engine.checkpointsActive());
+    expectSameDist(engine.run(a.sites).dist,
+                   on.campaignEngine().run(a.sites).dist);
 }
 
 } // namespace

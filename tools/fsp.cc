@@ -109,8 +109,7 @@ analysisConfigFor(const analysis::CommonCliOptions &common,
                   analysis::Observability &obs)
 {
     analysis::AnalysisConfig config;
-    config.slicing = common.campaign.allowSlicing;
-    config.checkpoints = common.campaign.allowCheckpoints;
+    config.engine = common.engine;
     config.sectionCacheDir = common.cacheDir;
     config.execMetrics = &obs.exec;
     return config;
