@@ -45,9 +45,15 @@ CampaignStats::summary() const
     }
     if (injection.slicedRuns > 0) {
         std::snprintf(buf, sizeof(buf),
-                      ", sliced %llu/%llu (%llu hazard fallbacks)",
+                      ", sliced %llu/%llu (%llu cross-CTA loads served, "
+                      "%llu closures over %llu CTAs, %llu hazard "
+                      "fallbacks)",
                       static_cast<unsigned long long>(injection.slicedRuns),
                       static_cast<unsigned long long>(injection.injections),
+                      static_cast<unsigned long long>(
+                          injection.hazardLoadsInSlice),
+                      static_cast<unsigned long long>(injection.closureRuns),
+                      static_cast<unsigned long long>(injection.closureCtas),
                       static_cast<unsigned long long>(
                           injection.hazardFallbacks));
         text += buf;

@@ -14,9 +14,20 @@
 
 namespace fsp::faults {
 
+namespace {
+
+/**
+ * Closure rounds before a site falls back to the full grid.  Each
+ * round adds the CTAs that read what the previous round stored; real
+ * closures settle in one or two.
+ */
+constexpr unsigned kMaxClosureRounds = 8;
+
+} // namespace
+
 // Trips when a counter is added to InjectionStats without updating
 // merge(), since(), summary() and the tools' JSON emission.
-static_assert(sizeof(InjectionStats) == 10 * sizeof(std::uint64_t),
+static_assert(sizeof(InjectionStats) == 13 * sizeof(std::uint64_t),
               "InjectionStats field list changed: update merge(), "
               "since(), summary() and writeInjectionStats()");
 
@@ -27,6 +38,9 @@ InjectionStats::merge(const InjectionStats &other)
     slicedRuns += other.slicedRuns;
     fullGridRuns += other.fullGridRuns;
     hazardFallbacks += other.hazardFallbacks;
+    hazardLoadsInSlice += other.hazardLoadsInSlice;
+    closureRuns += other.closureRuns;
+    closureCtas += other.closureCtas;
     invalidSites += other.invalidSites;
     executedCtas += other.executedCtas;
     restoredBytes += other.restoredBytes;
@@ -43,6 +57,10 @@ InjectionStats::since(const InjectionStats &before) const
     delta.slicedRuns = slicedRuns - before.slicedRuns;
     delta.fullGridRuns = fullGridRuns - before.fullGridRuns;
     delta.hazardFallbacks = hazardFallbacks - before.hazardFallbacks;
+    delta.hazardLoadsInSlice =
+        hazardLoadsInSlice - before.hazardLoadsInSlice;
+    delta.closureRuns = closureRuns - before.closureRuns;
+    delta.closureCtas = closureCtas - before.closureCtas;
     delta.invalidSites = invalidSites - before.invalidSites;
     delta.executedCtas = executedCtas - before.executedCtas;
     delta.restoredBytes = restoredBytes - before.restoredBytes;
@@ -55,17 +73,21 @@ InjectionStats::since(const InjectionStats &before) const
 std::string
 InjectionStats::summary() const
 {
-    char buf[320];
+    char buf[448];
     std::snprintf(
         buf, sizeof(buf),
         "injections %llu | sliced %llu | full-grid %llu | "
-        "hazard-fallbacks %llu | invalid %llu | ctas %llu | "
+        "hazard-fallbacks %llu | hazard-loads-in-slice %llu | "
+        "closures %llu (%llu ctas) | invalid %llu | ctas %llu | "
         "restored %llu B | ckpt-restores %llu | skipped %llu instrs | "
         "detected %llu",
         static_cast<unsigned long long>(injections),
         static_cast<unsigned long long>(slicedRuns),
         static_cast<unsigned long long>(fullGridRuns),
         static_cast<unsigned long long>(hazardFallbacks),
+        static_cast<unsigned long long>(hazardLoadsInSlice),
+        static_cast<unsigned long long>(closureRuns),
+        static_cast<unsigned long long>(closureCtas),
         static_cast<unsigned long long>(invalidSites),
         static_cast<unsigned long long>(executedCtas),
         static_cast<unsigned long long>(restoredBytes),
@@ -82,6 +104,9 @@ writeInjectionStats(JsonWriter &json, const InjectionStats &stats)
     json.field("slicedRuns", stats.slicedRuns);
     json.field("fullGridRuns", stats.fullGridRuns);
     json.field("hazardFallbacks", stats.hazardFallbacks);
+    json.field("hazardLoadsInSlice", stats.hazardLoadsInSlice);
+    json.field("closureRuns", stats.closureRuns);
+    json.field("closureCtas", stats.closureCtas);
     json.field("invalidSites", stats.invalidSites);
     json.field("executedCtas", stats.executedCtas);
     json.field("restoredBytes", stats.restoredBytes);
@@ -110,8 +135,8 @@ Injector::budgetedConfig(const sim::LaunchConfig &config)
     }
 
     golden_outputs_ = captureOutputs(scratch, outputs_);
-    slicing_ = std::make_shared<const SlicingPlan>(
-        SlicingPlan::analyze(std::move(golden.trace.ctaFootprints)));
+    slicing_ = std::make_shared<const SlicingPlan>(SlicingPlan::analyze(
+        std::move(golden.trace.ctaFootprints), scratch));
 
     // A corrupted loop counter can legitimately lengthen execution; the
     // hang threshold is several times the longest golden thread plus a
@@ -211,28 +236,23 @@ Injector::checkpointDescription() const
  * Exact masked/SDC test for a completed sliced run.
  *
  * Reconstructs what the full-grid faulty image would hold inside the
- * output regions:
- *
- *   recon[b] = scratch[b]  if b in (W_c u D) \ W_other
- *              golden[b]   otherwise
- *
- * where W_c is the faulty CTA's golden write footprint, D the
- * chunk-granular dirty set of this run (covers every byte the faulty
- * run actually wrote, including wild non-hazardous stores), and
- * W_other the bytes other CTAs write.  Other CTAs execute fault-free
- * and bit-identically to golden (the store-hazard check proves the
- * faulty CTA touched none of their reads or writes), so golden bytes
- * stand in for them exactly; dirty-chunk over-approximation is safe
- * because the extra bytes are pristine in both the sliced and the
- * full-grid image once W_other is subtracted.
+ * output regions: the run's own value on resolver.runBytes() (the
+ * run's CTAs' write footprints and the chunk-granular dirty set of
+ * this run, minus bytes CTAs outside the run write unless the run
+ * stored them after their writer), the golden value elsewhere.  CTAs
+ * outside the run execute fault-free and bit-identically to golden in
+ * the full grid (no byte they read was stored by the run before them,
+ * or the closure would contain them), so golden bytes stand in for
+ * them exactly.  Dirty-chunk over-approximation is safe: the extra
+ * bytes are pristine in both images, and checkpoint-delta bleed only
+ * reaches bytes other CTAs write, which the resolver never reads from
+ * the run's image.
  */
 std::vector<std::vector<std::uint8_t>>
-Injector::reconstructSlicedOutputs(std::uint64_t cta)
+Injector::reconstructSlicedOutputs(const HazardResolver &resolver)
 {
-    sim::IntervalSet candidates = scratch_.dirtyIntervals();
-    candidates.unionWith(slicing_->writes(cta));
-    // loadHazards(cta) is exactly the set of bytes other CTAs write.
-    candidates = candidates.subtract(slicing_->loadHazards(cta));
+    const sim::IntervalSet candidates =
+        resolver.runBytes(scratch_.dirtyIntervals());
 
     auto test = golden_outputs_;
     for (std::size_t r = 0; r < outputs_.size(); ++r) {
@@ -261,12 +281,14 @@ Injector::classifyOutputs(
     return Outcome::SDC;
 }
 
-Outcome
-Injector::classifyFullGrid(const FaultSite &site,
-                           const sim::FaultPlan &plan,
-                           const sim::RunResult &result,
-                           InjectionDetail *detail)
+std::optional<Outcome>
+Injector::settleRun(const FaultSite &site, const sim::FaultPlan &plan,
+                    const sim::RunResult &result, InjectionDetail *detail)
 {
+    if (plan.detected)
+        stats_.detectedFaults++;
+    if (detail)
+        detail->staticIndex = plan.appliedStatic;
     if (result.status != sim::RunStatus::Completed)
         return Outcome::Other;
 
@@ -286,8 +308,20 @@ Injector::classifyFullGrid(const FaultSite &site,
         }
         return Outcome::Masked;
     }
+    return std::nullopt;
+}
 
-    return classifyOutputs(captureOutputs(scratch_, outputs_), detail);
+void
+Injector::restoreCheckpoint(const CtaCheckpoint &checkpoint,
+                            std::uint64_t cta)
+{
+    stats_.restoredBytes += scratch_.applyDelta(checkpoint.delta);
+    stats_.checkpointRestores++;
+    stats_.skippedDynInstrs += checkpoint.ctaDynInstrs;
+    if (observer_) {
+        observer_->onCheckpointRestored(
+            {cta, checkpoint.ctaDynInstrs, observer_worker_});
+    }
 }
 
 Outcome
@@ -331,58 +365,54 @@ Injector::inject(const FaultSite &site, InjectionDetail *detail)
             : nullptr;
 
     if (slicingActive() && model_->supportsSlicing()) {
-        sim::CtaSlice slice;
-        slice.range = sim::CtaRange::single(cta);
-        slice.loadHazards = &slicing_->loadHazards(cta);
-        slice.storeHazards = &slicing_->storeHazards(cta);
-
-        sim::RunResult result;
-        if (checkpoint) {
-            // Deltas are CTA-local, so pristine image + delta is the
-            // memory exactly as the CTA's golden execution had left it
-            // at the capture point (chunk bleed only reaches bytes in
-            // the load-hazard set, which the comparison excludes).
-            stats_.restoredBytes +=
-                scratch_.applyDelta(checkpoint->delta);
-            stats_.checkpointRestores++;
-            stats_.skippedDynInstrs += checkpoint->ctaDynInstrs;
-            if (observer_) {
-                observer_->onCheckpointRestored(
-                    {cta, checkpoint->ctaDynInstrs, observer_worker_});
+        // The sliced run, then the closure of later CTAs that read a
+        // byte it stored, each re-run from the same starting point.
+        std::vector<std::uint64_t> ctas{cta};
+        for (unsigned round = 0; round < kMaxClosureRounds; ++round) {
+            if (round > 0) {
+                stats_.restoredBytes += scratch_.restoreFrom(image_);
+                plan = model_->plan(site, model_ctx_);
+                stats_.closureRuns++;
+                stats_.closureCtas += ctas.size();
             }
-            result = executor_.run(scratch_, nullptr, &plan, &slice,
-                                   &checkpoint->state,
-                                   protection_.get());
-        } else {
-            result = executor_.run(scratch_, nullptr, &plan, &slice,
-                                   nullptr, protection_.get());
-        }
-        // Machine-state pages copied out of the snapshot count toward
-        // the restore traffic, same as memory-image bytes.
-        stats_.restoredBytes += result.restoredStateBytes;
-        stats_.executedCtas += result.executedCtas;
-
-        if (result.status != sim::RunStatus::SliceHazard) {
-            stats_.slicedRuns++;
-            if (plan.detected)
-                stats_.detectedFaults++;
-            if (detail)
-                detail->staticIndex = plan.appliedStatic;
-            if (result.status != sim::RunStatus::Completed)
-                return Outcome::Other;
-            if (!plan.applied) {
-                if (plan.kind == sim::FaultKind::DestReg &&
-                    model_->kind() == "single-bit" && !plan.detected) {
-                    warn("fault plan not applied: thread ", site.thread,
-                         " dyn ", site.dynIndex, " bit ", site.bit);
-                }
-                return Outcome::Masked;
+            HazardResolver resolver(*slicing_, image_, ctas);
+            if (checkpoint) {
+                // Deltas are CTA-local, so pristine image + delta is
+                // the memory exactly as the CTA's golden execution had
+                // left it at the capture point; chunk bleed only
+                // reaches bytes other CTAs write, which the resolver
+                // serves without reading them from scratch.
+                restoreCheckpoint(*checkpoint, cta);
             }
-            return classifyOutputs(reconstructSlicedOutputs(cta), detail);
+            const sim::RunResult result = executor_.run(
+                scratch_, nullptr, &plan, &resolver.slice(),
+                checkpoint ? &checkpoint->state : nullptr,
+                protection_.get());
+            // Machine-state pages copied out of the snapshot count
+            // toward the restore traffic, same as memory-image bytes.
+            stats_.restoredBytes += result.restoredStateBytes;
+            stats_.executedCtas += result.executedCtas;
+            if (resolver.servedLoads())
+                stats_.hazardLoadsInSlice++;
+            if (result.status == sim::RunStatus::SliceHazard)
+                break;
+
+            std::vector<std::uint64_t> readers;
+            if (result.status == sim::RunStatus::Completed)
+                readers = resolver.laterReaders();
+            if (readers.empty()) {
+                stats_.slicedRuns++;
+                if (auto settled = settleRun(site, plan, result, detail))
+                    return *settled;
+                return classifyOutputs(reconstructSlicedOutputs(resolver),
+                                       detail);
+            }
+            ctas.insert(ctas.end(), readers.begin(), readers.end());
+            std::sort(ctas.begin(), ctas.end());
         }
 
-        // The fault wandered into another CTA's footprint; replay the
-        // site on the full grid for an exact classification.
+        // The resolver gave up, or the closure kept growing; replay
+        // the site on the full grid for an exact classification.
         stats_.hazardFallbacks++;
         if (observer_)
             observer_->onSliceHazard({cta, observer_worker_});
@@ -390,7 +420,6 @@ Injector::inject(const FaultSite &site, InjectionDetail *detail)
         plan = model_->plan(site, model_ctx_);
     }
 
-    sim::RunResult result;
     if (checkpoint) {
         // Full-grid resume: apply the complete deltas of all preceding
         // CTAs (they execute fault-free, identically to golden), then
@@ -402,27 +431,18 @@ Injector::inject(const FaultSite &site, InjectionDetail *detail)
             stats_.skippedDynInstrs +=
                 checkpoints_->finalDynInstrs(before);
         }
-        stats_.restoredBytes += scratch_.applyDelta(checkpoint->delta);
-        stats_.checkpointRestores++;
-        stats_.skippedDynInstrs += checkpoint->ctaDynInstrs;
-        if (observer_) {
-            observer_->onCheckpointRestored(
-                {cta, checkpoint->ctaDynInstrs, observer_worker_});
-        }
-        result = executor_.run(scratch_, nullptr, &plan, nullptr,
-                               &checkpoint->state, protection_.get());
-    } else {
-        result = executor_.run(scratch_, nullptr, &plan, nullptr,
-                               nullptr, protection_.get());
+        restoreCheckpoint(*checkpoint, cta);
     }
+    const sim::RunResult result =
+        executor_.run(scratch_, nullptr, &plan, nullptr,
+                      checkpoint ? &checkpoint->state : nullptr,
+                      protection_.get());
     stats_.restoredBytes += result.restoredStateBytes;
     stats_.fullGridRuns++;
     stats_.executedCtas += result.executedCtas;
-    if (plan.detected)
-        stats_.detectedFaults++;
-    if (detail)
-        detail->staticIndex = plan.appliedStatic;
-    return classifyFullGrid(site, plan, result, detail);
+    if (auto settled = settleRun(site, plan, result, detail))
+        return *settled;
+    return classifyOutputs(captureOutputs(scratch_, outputs_), detail);
 }
 
 } // namespace fsp::faults

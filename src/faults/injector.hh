@@ -8,9 +8,13 @@
  * independent (see faults/slicing.hh), injection runs execute only the
  * faulty CTA against a dirty-range-restored image and compare only that
  * CTA's share of the output -- bit-identical outcomes at a fraction of
- * the work.  Runs whose fault wanders into another CTA's footprint
- * abort with RunStatus::SliceHazard and are transparently replayed on
- * the full grid, so the sliced engine never changes a classification.
+ * the work.  A fault that wanders into another CTA's footprint is
+ * answered inside the slice: a HazardResolver (faults/slicing.hh)
+ * serves a cross-CTA load the value the full grid would read, and a
+ * cross-CTA store either settles in-slice or re-runs the closure of
+ * later CTAs that read a stored byte.  Only when the resolver declines
+ * (RunStatus::SliceHazard) is the site replayed on the full grid, so
+ * the sliced engine never changes a classification.
  *
  * Orthogonally, golden-run checkpoints (faults/checkpoint.hh) cut the
  * temporal axis: injections resume from the latest capture point
@@ -24,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -56,7 +61,11 @@ struct InjectionStats
     std::uint64_t injections = 0;      ///< inject() calls
     std::uint64_t slicedRuns = 0;      ///< classified via the sliced path
     std::uint64_t fullGridRuns = 0;    ///< full-grid executor runs
-    std::uint64_t hazardFallbacks = 0; ///< sliced runs aborted on a hazard
+    std::uint64_t hazardFallbacks = 0; ///< sites replayed on the full grid
+    std::uint64_t hazardLoadsInSlice = 0; ///< sliced runs serving a
+                                          ///< cross-CTA load
+    std::uint64_t closureRuns = 0; ///< multi-CTA closure re-runs
+    std::uint64_t closureCtas = 0; ///< CTAs those closure runs covered
     std::uint64_t invalidSites = 0;    ///< sites rejected by validation
     std::uint64_t executedCtas = 0;    ///< CTAs simulated, all runs
     std::uint64_t restoredBytes = 0;   ///< bytes copied by restore/delta
@@ -269,15 +278,24 @@ class Injector
 
     sim::LaunchConfig budgetedConfig(const sim::LaunchConfig &config);
 
-    Outcome classifyFullGrid(const FaultSite &site,
-                             const sim::FaultPlan &plan,
-                             const sim::RunResult &result,
-                             InjectionDetail *detail);
+    /**
+     * The classification tail every run shares: count a detection,
+     * note the corrupted instruction, and settle runs that need no
+     * output compare (Other when aborted, Masked when the fault never
+     * fired).  nullopt means "compare the outputs".
+     */
+    std::optional<Outcome> settleRun(const FaultSite &site,
+                                     const sim::FaultPlan &plan,
+                                     const sim::RunResult &result,
+                                     InjectionDetail *detail);
     Outcome classifyOutputs(
         const std::vector<std::vector<std::uint8_t>> &test,
         InjectionDetail *detail);
     std::vector<std::vector<std::uint8_t>>
-    reconstructSlicedOutputs(std::uint64_t cta);
+    reconstructSlicedOutputs(const HazardResolver &resolver);
+    /** Apply @p checkpoint's memory delta and count the restore. */
+    void restoreCheckpoint(const CtaCheckpoint &checkpoint,
+                           std::uint64_t cta);
 
     // NOTE: golden state and the slicing plan are declared before
     // executor_ because budgetedConfig() -- invoked while initialising

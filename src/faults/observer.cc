@@ -155,6 +155,15 @@ MetricsObserver::MetricsObserver(metrics::Registry &registry)
     slice_hazards_ =
         registry_.counter("fsp_campaign_slice_hazards_total",
                           "sliced runs escalated to full-grid replay");
+    hazard_loads_in_slice_ = registry_.counter(
+        "fsp_campaign_hazard_loads_in_slice_total",
+        "sliced runs that served a load of another CTA's bytes");
+    closure_runs_ =
+        registry_.counter("fsp_campaign_closure_runs_total",
+                          "multi-CTA closure re-runs after a cross-CTA "
+                          "store");
+    closure_ctas_ = registry_.counter(
+        "fsp_campaign_closure_ctas_total", "CTAs run by closure re-runs");
     cache_hits_ = registry_.counter(
         "fsp_cache_hits_total",
         "sites satisfied from the section cache, not injected");
@@ -268,6 +277,10 @@ MetricsObserver::onCampaignEnd(const CampaignEnd &event)
     for (metrics::Shard &shard : shards_)
         registry_.fold(shard);
     registry_.add(replayed_sites_, event.stats->replayedSites);
+    registry_.add(hazard_loads_in_slice_,
+                  event.stats->injection.hazardLoadsInSlice);
+    registry_.add(closure_runs_, event.stats->injection.closureRuns);
+    registry_.add(closure_ctas_, event.stats->injection.closureCtas);
     registry_.add(cache_bytes_, event.stats->cacheBytesRead +
                                     event.stats->cacheBytesWritten);
     registry_.set(sites_per_second_, event.stats->sitesPerSecond);

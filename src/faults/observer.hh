@@ -91,7 +91,10 @@ class CampaignObserver
     };
     virtual void onCheckpointRestored(const CheckpointRestored &) {}
 
-    /** Worker-thread: a sliced run escaped to the full-grid fallback. */
+    /**
+     * Worker-thread: a site the sliced engine could not classify was
+     * replayed on the full grid.
+     */
     struct SliceHazard
     {
         std::uint64_t cta;
@@ -234,6 +237,9 @@ class MetricsObserver final : public CampaignObserver
     metrics::CounterId checkpoint_restores_;
     metrics::CounterId skipped_instrs_;
     metrics::CounterId slice_hazards_;
+    metrics::CounterId hazard_loads_in_slice_;
+    metrics::CounterId closure_runs_;
+    metrics::CounterId closure_ctas_;
     metrics::CounterId cache_hits_;
     metrics::CounterId cache_misses_;
     metrics::CounterId cache_bytes_;

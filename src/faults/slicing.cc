@@ -21,6 +21,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "util/logging.hh"
+
 namespace fsp::faults {
 
 namespace {
@@ -145,7 +147,8 @@ multiplyCovered(const std::vector<OwnedInterval> &sorted)
 } // namespace
 
 SlicingPlan
-SlicingPlan::analyze(std::vector<sim::CtaFootprint> footprints)
+SlicingPlan::analyze(std::vector<sim::CtaFootprint> footprints,
+                     const sim::GlobalMemory &goldenFinal)
 {
     SlicingPlan plan;
     plan.footprints_ = std::move(footprints);
@@ -192,8 +195,22 @@ SlicingPlan::analyze(std::vector<sim::CtaFootprint> footprints)
     plan.independent_ = true;
     plan.reason_ = "cta-independent";
 
+    // The write map: writes are disjoint here, so the begin-sorted
+    // owner-tagged list answers "who writes this byte" by bisection.
+    plan.write_map_.reserve(writes.size());
+    std::size_t offset = 0;
+    for (const OwnedInterval &w : writes) {
+        plan.write_map_.push_back(
+            {w.iv.begin, w.iv.end, w.owner, offset});
+        offset += w.iv.bytes();
+    }
+    plan.golden_final_.resize(offset);
+    for (const OwnedWrite &w : plan.write_map_)
+        goldenFinal.readBytes(w.begin, w.end - w.begin,
+                              plan.golden_final_.data() + w.offset);
+
     // Hazard sets, from three global aggregates.
-    IntervalSet all_writes;
+    IntervalSet &all_writes = plan.all_writes_;
     for (const auto &fp : plan.footprints_)
         all_writes.unionWith(fp.writes);
     IntervalSet all_reads;
@@ -214,6 +231,156 @@ SlicingPlan::analyze(std::vector<sim::CtaFootprint> footprints)
         plan.store_hazards_.push_back(std::move(reads_of_others));
     }
     return plan;
+}
+
+SlicingPlan::Hazards
+SlicingPlan::hazardsOutside(const std::vector<std::uint64_t> &ctas) const
+{
+    Hazards hazards;
+    hazards.loads = all_writes_;
+    std::vector<Interval> outside_reads;
+    std::size_t next = 0;
+    for (std::uint64_t cta = 0; cta < footprints_.size(); ++cta) {
+        if (next < ctas.size() && ctas[next] == cta) {
+            hazards.loads = hazards.loads.subtract(footprints_[cta].writes);
+            ++next;
+            continue;
+        }
+        const auto &reads = footprints_[cta].reads.ranges();
+        outside_reads.insert(outside_reads.end(), reads.begin(),
+                             reads.end());
+    }
+    hazards.stores = IntervalSet::fromUnsorted(std::move(outside_reads));
+    hazards.stores.unionWith(hazards.loads);
+    return hazards;
+}
+
+const SlicingPlan::OwnedWrite *
+SlicingPlan::writerOf(std::uint64_t addr) const
+{
+    auto it = std::upper_bound(
+        write_map_.begin(), write_map_.end(), addr,
+        [](std::uint64_t a, const OwnedWrite &w) { return a < w.end; });
+    return it != write_map_.end() && it->begin <= addr ? &*it : nullptr;
+}
+
+namespace {
+
+/** Logged stores past this many make the resolver give up. */
+constexpr std::size_t kMaxLoggedStores = 4096;
+
+} // namespace
+
+HazardResolver::HazardResolver(const SlicingPlan &plan,
+                               const sim::GlobalMemory &pristine,
+                               std::vector<std::uint64_t> ctas)
+    : plan_(plan), pristine_(pristine)
+{
+    FSP_ASSERT(plan.independent(),
+               "hazard resolution needs an independent plan");
+    slice_.range.ctas = std::move(ctas);
+    slice_.resolver = this;
+    const auto &run = slice_.range.ctas;
+    if (run.size() == 1) {
+        load_hazards_ = &plan.loadHazards(run.front());
+        store_hazards_ = &plan.storeHazards(run.front());
+    } else {
+        owned_ = plan.hazardsOutside(run);
+        load_hazards_ = &owned_.loads;
+        store_hazards_ = &owned_.stores;
+    }
+}
+
+bool
+HazardResolver::inRun(std::uint64_t cta) const
+{
+    return std::binary_search(slice_.range.ctas.begin(),
+                              slice_.range.ctas.end(), cta);
+}
+
+bool
+HazardResolver::storedSince(std::uint64_t addr, std::uint64_t first) const
+{
+    for (const Store &s : stores_) {
+        if (s.cta >= first && addr >= s.bytes.begin && addr < s.bytes.end)
+            return true;
+    }
+    return false;
+}
+
+bool
+HazardResolver::load(std::uint64_t cta, std::uint64_t addr,
+                     unsigned width, std::uint64_t &value)
+{
+    served_loads_ = true;
+    for (unsigned i = 0; i < width; ++i) {
+        const std::uint64_t byte_addr = addr + i;
+        const SlicingPlan::OwnedWrite *w = plan_.writerOf(byte_addr);
+        if (w == nullptr || inRun(w->cta))
+            continue; // the run's own image is exact here
+        // CTAs run in increasing order: the run's own store stands
+        // unless the golden writer ran after it.
+        if (storedSince(byte_addr, w->cta > cta ? 0 : w->cta + 1))
+            continue;
+        std::uint8_t byte = 0;
+        if (w->cta < cta)
+            byte = plan_.goldenFinal(*w, byte_addr);
+        else
+            pristine_.readBytes(byte_addr, 1, &byte);
+        const unsigned shift = 8 * i;
+        value = (value & ~(std::uint64_t{0xFF} << shift)) |
+                (std::uint64_t{byte} << shift);
+    }
+    return true;
+}
+
+bool
+HazardResolver::store(std::uint64_t cta, std::uint64_t addr,
+                      unsigned width)
+{
+    if (stores_.size() >= kMaxLoggedStores)
+        return false;
+    stores_.push_back({{addr, addr + width}, cta});
+    return true;
+}
+
+std::vector<std::uint64_t>
+HazardResolver::laterReaders() const
+{
+    std::vector<std::uint64_t> readers;
+    if (stores_.empty())
+        return readers;
+    std::vector<Interval> raw;
+    raw.reserve(stores_.size());
+    for (const Store &s : stores_)
+        raw.push_back(s.bytes);
+    const IntervalSet stored = IntervalSet::fromUnsorted(std::move(raw));
+    // Readers at or before the first storing CTA read golden bytes.
+    for (std::uint64_t cta = stores_.front().cta + 1;
+         cta < plan_.ctaCount(); ++cta) {
+        if (!inRun(cta) && plan_.footprint(cta).reads.intersects(stored))
+            readers.push_back(cta);
+    }
+    return readers;
+}
+
+IntervalSet
+HazardResolver::runBytes(IntervalSet dirty) const
+{
+    for (std::uint64_t cta : slice_.range.ctas)
+        dirty.unionWith(plan_.writes(cta));
+    IntervalSet bytes = dirty.subtract(*load_hazards_);
+
+    std::vector<Interval> kept;
+    for (const Store &s : stores_) {
+        for (std::uint64_t a = s.bytes.begin; a < s.bytes.end; ++a) {
+            const SlicingPlan::OwnedWrite *w = plan_.writerOf(a);
+            if (w != nullptr && !inRun(w->cta) && s.cta > w->cta)
+                kept.push_back({a, a + 1});
+        }
+    }
+    bytes.unionWith(IntervalSet::fromUnsorted(std::move(kept)));
+    return bytes;
 }
 
 } // namespace fsp::faults

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "sim/decoded.hh"
+#include "sim/executor.hh"
 #include "sim/fault.hh"
 #include "sim/protection.hh"
 #include "sim/machine_state.hh"
@@ -87,7 +88,7 @@ enum class StopReason : std::uint8_t
     Limit, ///< per-call step limit reached (stepCta watermark)
     Crashed,
     Hung,
-    Hazard, ///< sliced run touched another CTA's footprint
+    Hazard, ///< a sliced run's hazard access went unresolved
 };
 
 /** Mutable context shared by every thread while one CTA executes. */
@@ -109,7 +110,9 @@ struct CtaContext
     TraceData *trace = nullptr;
     std::string diagnostic{};
 
-    /** Sliced-run hazard sets (null outside sliced injection runs). */
+    /** Sliced-run resolver and its hazard sets (null outside sliced
+     *  injection runs). */
+    SliceResolver *resolver = nullptr;
     const IntervalSet *loadHazards = nullptr;
     const IntervalSet *storeHazards = nullptr;
 
@@ -117,6 +120,35 @@ struct CtaContext
     std::vector<Interval> *fpReads = nullptr;
     std::vector<Interval> *fpWrites = nullptr;
 };
+
+/**
+ * The sliced-run discipline of a completed global load of @p width
+ * bytes at @p addr by CTA @p cta: a load touching the resolver's
+ * hazard set gets its value from the resolver.  Both engines route
+ * every global load through here.
+ *
+ * @return false when the run must stop with StopReason::Hazard.
+ */
+[[gnu::always_inline]] inline bool
+sliceLoad(CtaContext &ctx, std::uint64_t cta, std::uint64_t addr,
+          unsigned width, std::uint64_t &value)
+{
+    if (ctx.loadHazards == nullptr ||
+        !ctx.loadHazards->intersectsRange(addr, addr + width)) [[likely]]
+        return true;
+    return ctx.resolver->load(cta, addr, width, value);
+}
+
+/** As sliceLoad, for a completed global store. */
+[[gnu::always_inline]] inline bool
+sliceStore(CtaContext &ctx, std::uint64_t cta, std::uint64_t addr,
+           unsigned width)
+{
+    if (ctx.storeHazards == nullptr ||
+        !ctx.storeHazards->intersectsRange(addr, addr + width)) [[likely]]
+        return true;
+    return ctx.resolver->store(cta, addr, width);
+}
 
 /** Condition-code flags derived from a result value of @p type. */
 inline std::uint8_t

@@ -353,14 +353,23 @@ applyReachFault(CtaContext &ctx, std::uint64_t &pc, std::uint8_t *ccs,
 
       case FaultKind::GlobalMem: {
         // The flip is a read-modify-write of one global byte by the
-        // faulty thread; in sliced runs it must honour the same hazard
-        // discipline as an instruction's load+store so the sliced
-        // classification stays exact.
-        const std::uint64_t begin = fault.addr, end = fault.addr + 1;
-        if ((ctx.loadHazards &&
-             ctx.loadHazards->intersectsRange(begin, end)) ||
-            (ctx.storeHazards &&
-             ctx.storeHazards->intersectsRange(begin, end))) {
+        // faulty thread; in sliced runs both halves follow the same
+        // hazard discipline as an instruction's load and store, so the
+        // sliced classification stays exact.
+        const std::uint64_t cta = global_id / ctx.blockThreads;
+        std::uint64_t byte = 0;
+        AccessError err = ctx.gmem.load(fault.addr, 1, byte);
+        bool resolved = true;
+        if (err == AccessError::None) {
+            resolved = sliceLoad(ctx, cta, fault.addr, 1, byte);
+            if (resolved) {
+                err = ctx.gmem.store(fault.addr, 1,
+                                     byte ^ (fault.mask & 0xFF));
+                resolved = err != AccessError::None ||
+                           sliceStore(ctx, cta, fault.addr, 1);
+            }
+        }
+        if (!resolved) {
             std::ostringstream os;
             os << "thread " << global_id
                << " sliced-run fault-flip hazard at global 0x"
@@ -368,12 +377,6 @@ applyReachFault(CtaContext &ctx, std::uint64_t &pc, std::uint8_t *ccs,
             ctx.diagnostic = os.str();
             halt = StopReason::Hazard;
             return true;
-        }
-        std::uint64_t byte = 0;
-        AccessError err = ctx.gmem.load(fault.addr, 1, byte);
-        if (err == AccessError::None) {
-            err = ctx.gmem.store(fault.addr, 1,
-                                 byte ^ (fault.mask & 0xFF));
         }
         if (err != AccessError::None) {
             std::ostringstream os;
@@ -682,14 +685,6 @@ runThreadDecodedImpl(MachineState &ms, std::uint32_t tl,
         (op->memBase != kNoDenseReg ? truncVal(R[op->memBase], 32)
                                     : 0) +
         static_cast<std::uint64_t>(op->memOffset);
-    if (ctx.loadHazards &&
-        ctx.loadHazards->intersectsRange(addr, addr + op->width))
-        [[unlikely]] {
-        mem_is_ld = true;
-        mem_addr = addr;
-        mem_op = op;
-        goto mem_hazard;
-    }
     std::uint64_t value = 0;
     const AccessError err = ctx.gmem.load(addr, op->width, value);
     if (err != AccessError::None) [[unlikely]] {
@@ -698,6 +693,13 @@ runThreadDecodedImpl(MachineState &ms, std::uint32_t tl,
         mem_err = err;
         mem_op = op;
         goto mem_crash;
+    }
+    if (!sliceLoad(ctx, ms.ctaLinear, addr, op->width, value))
+        [[unlikely]] {
+        mem_is_ld = true;
+        mem_addr = addr;
+        mem_op = op;
+        goto mem_hazard;
     }
     if (ctx.fpReads)
         ctx.fpReads->push_back({addr, addr + op->width});
@@ -755,14 +757,6 @@ runThreadDecodedImpl(MachineState &ms, std::uint32_t tl,
         (op->memBase != kNoDenseReg ? truncVal(R[op->memBase], 32)
                                     : 0) +
         static_cast<std::uint64_t>(op->memOffset);
-    if (ctx.storeHazards &&
-        ctx.storeHazards->intersectsRange(addr, addr + op->width))
-        [[unlikely]] {
-        mem_is_ld = false;
-        mem_addr = addr;
-        mem_op = op;
-        goto mem_hazard;
-    }
     const std::uint64_t value = truncVal(rd(1), op->bits);
     const AccessError err = ctx.gmem.store(addr, op->width, value);
     if (err != AccessError::None) [[unlikely]] {
@@ -771,6 +765,12 @@ runThreadDecodedImpl(MachineState &ms, std::uint32_t tl,
         mem_err = err;
         mem_op = op;
         goto mem_crash;
+    }
+    if (!sliceStore(ctx, ms.ctaLinear, addr, op->width)) [[unlikely]] {
+        mem_is_ld = false;
+        mem_addr = addr;
+        mem_op = op;
+        goto mem_hazard;
     }
     if (ctx.fpWrites)
         ctx.fpWrites->push_back({addr, addr + op->width});
@@ -964,8 +964,7 @@ runThreadDecodedImpl(MachineState &ms, std::uint32_t tl,
   mem_hazard:
     {
         // Sliced-run escape: an access into a byte range other CTAs
-        // touch means this CTA's isolated execution could diverge
-        // from its execution in the full grid -- abort so the
+        // touch that the resolver could not answer -- abort so the
         // injector falls back to a full-grid run.
         std::ostringstream os;
         os << "thread " << global_id << " sliced-run "
@@ -1040,6 +1039,17 @@ namespace {
 
 using exec::CtaContext;
 using exec::StopReason;
+
+/** Point @p ctx at the resolver of @p slice and its hazard sets. */
+void
+bindSlice(CtaContext &ctx, const CtaSlice *slice)
+{
+    if (slice == nullptr || slice->resolver == nullptr)
+        return;
+    ctx.resolver = slice->resolver;
+    ctx.loadHazards = &slice->resolver->loadHazards();
+    ctx.storeHazards = &slice->resolver->storeHazards();
+}
 
 /**
  * Advance one CTA under the cooperative barrier-phase scheduler until
@@ -1165,8 +1175,7 @@ Executor::stepCta(MachineState &ms, GlobalMemory &gmem,
                      : exec::kDefaultBudget;
     ctx.fault = fault;
     ctx.protection = protection;
-    ctx.loadHazards = slice ? slice->loadHazards : nullptr;
-    ctx.storeHazards = slice ? slice->storeHazards : nullptr;
+    bindSlice(ctx, slice);
 
     CtaStepStatus status = stepCtaImpl(ms, ctx, engine_, watermark);
     if (diagnostic)
@@ -1247,8 +1256,7 @@ Executor::run(GlobalMemory &gmem, const TraceOptions *opts,
     ctx.fault = fault;
     ctx.protection = protection;
     ctx.trace = &result.trace;
-    ctx.loadHazards = slice ? slice->loadHazards : nullptr;
-    ctx.storeHazards = slice ? slice->storeHazards : nullptr;
+    bindSlice(ctx, slice);
 
     std::uint64_t cta_linear = 0;
     for (std::uint32_t cz = 0; cz < grid.z; ++cz) {

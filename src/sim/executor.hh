@@ -42,7 +42,7 @@ enum class RunStatus : std::uint8_t
     Completed,   ///< every thread retired normally
     Crashed,     ///< a thread performed an invalid memory access
     Hung,        ///< a thread exceeded its dynamic-instruction budget
-    SliceHazard, ///< a sliced run touched another CTA's footprint
+    SliceHazard, ///< a sliced run's hazard access went unresolved
 };
 
 std::string runStatusName(RunStatus status);
@@ -74,24 +74,67 @@ struct CtaRange
 };
 
 /**
- * Scope a run to a CTA subset, optionally guarded by hazard sets.
+ * Answers a sliced run's global accesses into bytes that CTAs outside
+ * the slice read or write.  The executor performs every access on its
+ * memory image first and consults the resolver only when the access
+ * touches one of the resolver's hazard sets, so fault-free runs never
+ * call it.  The resolver must outlive the run it serves.
+ */
+class SliceResolver
+{
+  public:
+    SliceResolver() = default;
+    SliceResolver(const SliceResolver &) = delete;
+    SliceResolver &operator=(const SliceResolver &) = delete;
+    virtual ~SliceResolver() = default;
+
+    /** Bytes CTAs outside the slice write: loads touching them. */
+    virtual const IntervalSet &loadHazards() const = 0;
+
+    /** Bytes CTAs outside the slice read or write: stores touching
+     *  them. */
+    virtual const IntervalSet &storeHazards() const = 0;
+
+    /**
+     * CTA @p cta loaded @p width bytes at @p addr, touching
+     * loadHazards().  @p value holds the bytes as read from the run's
+     * image (little-endian); replace those the full grid would observe
+     * differently.
+     *
+     * @return false to abort the run with RunStatus::SliceHazard.
+     */
+    virtual bool load(std::uint64_t cta, std::uint64_t addr,
+                      unsigned width, std::uint64_t &value) = 0;
+
+    /**
+     * CTA @p cta stored @p width bytes at @p addr, touching
+     * storeHazards(); the store is already in the run's image.
+     *
+     * @return false to abort the run with RunStatus::SliceHazard.
+     */
+    virtual bool store(std::uint64_t cta, std::uint64_t addr,
+                       unsigned width) = 0;
+};
+
+/**
+ * Scope a run to a CTA subset, optionally guarded by a resolver.
  *
  * The executor runs exactly the CTAs in @p range, in the same order
  * and with the same thread numbering as a full-grid run -- for CTAs
  * whose inputs are untouched by the skipped CTAs, execution is
  * bit-identical to their execution within the full grid.
  *
- * The hazard sets make that safe under fault injection: if a load
- * touches @p loadHazards (bytes other CTAs write) or a store touches
- * @p storeHazards (bytes other CTAs read or write), the run aborts
- * with RunStatus::SliceHazard so the caller can fall back to a
- * full-grid run instead of silently diverging from it.
+ * The resolver makes that safe under fault injection: a load or store
+ * that reaches bytes the skipped CTAs write or read goes to it, and it
+ * serves the value the full grid would load and records the store
+ * (see faults/slicing.hh).  When it declines, the run aborts with
+ * RunStatus::SliceHazard so the caller can fall back to a full-grid
+ * run instead of silently diverging from it.
  */
 struct CtaSlice
 {
     CtaRange range;
-    const IntervalSet *loadHazards = nullptr;  ///< may be null
-    const IntervalSet *storeHazards = nullptr; ///< may be null
+    SliceResolver *resolver = nullptr; ///< may be null
 };
 
 /** Why Executor::stepCta stopped advancing a CTA. */
@@ -101,7 +144,7 @@ enum class CtaStepStatus : std::uint8_t
     Watermark, ///< the dynamic-instruction watermark was reached
     Crashed,   ///< a thread performed an invalid memory access
     Hung,      ///< a thread exceeded its dynamic-instruction budget
-    Hazard,    ///< a sliced run touched another CTA's footprint
+    Hazard,    ///< a sliced run's hazard access went unresolved
 };
 
 /** Sentinel watermark: run the CTA to retirement. */
@@ -192,7 +235,7 @@ class Executor
      * @param gmem global memory image, mutated in place.
      * @param watermark stop once state.executedDynInstrs reaches this.
      * @param fault optional single-bit fault to apply.
-     * @param slice optional hazard sets (the range is ignored here;
+     * @param slice optional resolver (the range is ignored here;
      *        stepping is inherently single-CTA).
      * @param diagnostic receives crash/hang/hazard detail when non-null.
      * @param protection optional protection plan (see run()).

@@ -213,27 +213,6 @@ runThreadReference(MachineState &ms, std::uint32_t tl, CtaContext &ctx,
                     base + static_cast<std::uint64_t>(mem.memOffset);
                 unsigned width = typeBits(insn.type) / 8;
 
-                if (insn.space == MemSpace::Global) {
-                    // Sliced-run escape: an access into a byte range
-                    // other CTAs touch means this CTA's isolated
-                    // execution could diverge from its execution in
-                    // the full grid -- abort so the injector falls
-                    // back to a full-grid run.
-                    const IntervalSet *hazards = insn.op == Opcode::Ld
-                                                     ? ctx.loadHazards
-                                                     : ctx.storeHazards;
-                    if (hazards &&
-                        hazards->intersectsRange(addr, addr + width)) {
-                        std::ostringstream os;
-                        os << "thread " << t.globalId << " sliced-run "
-                           << (insn.op == Opcode::Ld ? "load" : "store")
-                           << " hazard at global 0x" << std::hex << addr
-                           << std::dec << ": " << insn.text;
-                        ctx.diagnostic = os.str();
-                        return finish(StopReason::Hazard);
-                    }
-                }
-
                 AccessError err;
                 std::uint64_t value = 0;
                 if (insn.op == Opcode::Ld) {
@@ -279,6 +258,24 @@ runThreadReference(MachineState &ms, std::uint32_t tl, CtaContext &ctx,
                 }
 
                 if (insn.space == MemSpace::Global) {
+                    // Sliced-run escape: an access into a byte range
+                    // other CTAs touch that the resolver could not
+                    // answer -- abort so the injector falls back to a
+                    // full-grid run.
+                    const bool resolved =
+                        insn.op == Opcode::Ld
+                            ? sliceLoad(ctx, ms.ctaLinear, addr, width,
+                                        value)
+                            : sliceStore(ctx, ms.ctaLinear, addr, width);
+                    if (!resolved) {
+                        std::ostringstream os;
+                        os << "thread " << t.globalId << " sliced-run "
+                           << (insn.op == Opcode::Ld ? "load" : "store")
+                           << " hazard at global 0x" << std::hex << addr
+                           << std::dec << ": " << insn.text;
+                        ctx.diagnostic = os.str();
+                        return finish(StopReason::Hazard);
+                    }
                     std::vector<Interval> *fp = insn.op == Opcode::Ld
                                                     ? ctx.fpReads
                                                     : ctx.fpWrites;

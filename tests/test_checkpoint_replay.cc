@@ -351,7 +351,7 @@ struct HazardKernel
     }
 };
 
-TEST(CheckpointEngine, HazardFallbackComposesWithCheckpoints)
+TEST(CheckpointEngine, InSliceStoreHazardComposesWithCheckpoints)
 {
     HazardKernel k;
     InjectorOptions options;
@@ -367,13 +367,15 @@ TEST(CheckpointEngine, HazardFallbackComposesWithCheckpoints)
     EXPECT_EQ(injector.stats().hazardFallbacks, 0u);
     EXPECT_EQ(injector.stats().checkpointRestores, 1u);
 
-    // The address-register fault: the checkpointed sliced attempt
-    // aborts on the hazard and the full-grid replay resumes from the
-    // same capture point -- two restores for one classification.
+    // The address-register fault redirects CTA 1's store into out[0],
+    // a byte only CTA 0 (which ran earlier) writes: the checkpointed
+    // sliced run classifies it in-slice, keeping CTA 1's value there,
+    // with one restore and no full-grid replay.
     ASSERT_EQ(injector.inject({1, 3, 2}), Outcome::SDC);
-    EXPECT_EQ(injector.stats().hazardFallbacks, 1u);
-    EXPECT_EQ(injector.stats().fullGridRuns, 1u);
-    EXPECT_EQ(injector.stats().checkpointRestores, 3u);
+    EXPECT_EQ(injector.stats().hazardFallbacks, 0u);
+    EXPECT_EQ(injector.stats().fullGridRuns, 0u);
+    EXPECT_EQ(injector.stats().slicedRuns, 2u);
+    EXPECT_EQ(injector.stats().checkpointRestores, 2u);
 
     // From-start execution agrees on both sites.
     Injector from_start(k.program, k.launch, k.memory, k.outputs,

@@ -9,7 +9,9 @@
  * kernel, fault-free runs must produce identical statuses, dynamic
  * instruction counts, per-thread profiles, full dynamic traces, CTA
  * footprints and final memory images -- and injection runs must agree
- * on the fault's application and on every corrupted output byte.
+ * on the fault's application and on every corrupted output byte, also
+ * when a sliced run's faulty accesses reach other CTAs' bytes and go
+ * through the hazard resolver.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +19,9 @@
 #include <vector>
 
 #include "apps/app.hh"
+#include "faults/fault_model.hh"
 #include "faults/fault_space.hh"
+#include "faults/slicing.hh"
 #include "sim/executor.hh"
 #include "sim/section.hh"
 #include "util/logging.hh"
@@ -160,6 +164,94 @@ TEST(DecodedExecutor, FaultInjectionParityEveryKernel)
             EXPECT_EQ(imageOf(dec_mem), imageOf(ref_mem));
         }
     }
+}
+
+/**
+ * Sliced hazard parity: single-CTA sliced injection runs whose faults
+ * load or store other CTAs' bytes (corrupted addresses, and global
+ * byte flips) go through one HazardResolver per engine.  Both engines
+ * must agree on the status, the fault's application, every byte of
+ * the run's image, whether cross-CTA loads were served and which
+ * later CTAs the run's stores reach.
+ */
+TEST(DecodedExecutor, SlicedHazardParity)
+{
+    fsp::setVerboseLogging(false);
+    std::uint64_t hazard_runs = 0;
+    for (const char *name :
+         {"GEMM/K1", "SYRK/K1", "K-Means/K2", "Gaussian/K2", "2DCONV/K1"}) {
+        SCOPED_TRACE(name);
+        const apps::KernelSpec *spec = apps::findKernel(name);
+        ASSERT_NE(spec, nullptr);
+        apps::KernelSetup setup = spec->setup(apps::Scale::Small, 42);
+
+        Executor decoded(setup.program, setup.launch,
+                         ExecEngine::Decoded);
+        Executor reference(setup.program, setup.launch,
+                           ExecEngine::Reference);
+
+        TraceOptions opts;
+        opts.ctaFootprints = true;
+        opts.perThreadProfiles = true;
+        GlobalMemory golden_mem = setup.memory;
+        RunResult golden = decoded.run(golden_mem, &opts);
+        const faults::SlicingPlan plan = faults::SlicingPlan::analyze(
+            std::move(golden.trace.ctaFootprints), golden_mem);
+        ASSERT_TRUE(plan.independent()) << plan.reason();
+
+        std::vector<std::uint64_t> golden_icnt;
+        for (const auto &profile : golden.trace.profiles)
+            golden_icnt.push_back(profile.iCnt);
+        faults::ModelContext model_ctx;
+        model_ctx.threads = golden_icnt.size();
+        model_ctx.blockThreads = setup.launch.block.count();
+        model_ctx.globalBase = GlobalMemory::kBaseAddr;
+        model_ctx.globalBytes = setup.memory.allocatedBytes();
+        model_ctx.goldenICnt = &golden_icnt;
+        std::string error;
+        const auto gmem_flip = faults::parseFaultModel("gmem-flip", &error);
+        ASSERT_NE(gmem_flip, nullptr) << error;
+
+        faults::FaultSpace space(decoded, setup.memory);
+        Prng prng(31);
+        auto sites = space.sampleSites(96, prng);
+        for (std::size_t i = 0; i < sites.size(); ++i) {
+            const faults::FaultSite &site = sites[i];
+            SCOPED_TRACE("thread " + std::to_string(site.thread) +
+                         " dyn " + std::to_string(site.dynIndex) +
+                         " bit " + std::to_string(site.bit));
+            const std::uint64_t cta =
+                site.thread / setup.launch.block.count();
+            sim::FaultPlan dec_plan =
+                i % 2 ? gmem_flip->plan(site, model_ctx) : site.toPlan();
+            sim::FaultPlan ref_plan = dec_plan;
+
+            GlobalMemory dec_mem = setup.memory;
+            GlobalMemory ref_mem = setup.memory;
+            faults::HazardResolver dec_res(plan, setup.memory, {cta});
+            faults::HazardResolver ref_res(plan, setup.memory, {cta});
+            RunResult dec =
+                decoded.run(dec_mem, nullptr, &dec_plan, &dec_res.slice());
+            RunResult ref = reference.run(ref_mem, nullptr, &ref_plan,
+                                          &ref_res.slice());
+
+            EXPECT_EQ(dec.status, ref.status);
+            EXPECT_EQ(dec.totalDynInstrs, ref.totalDynInstrs);
+            EXPECT_EQ(dec.diagnostic, ref.diagnostic);
+            EXPECT_EQ(dec_plan.applied, ref_plan.applied);
+            EXPECT_EQ(dec_plan.appliedStatic, ref_plan.appliedStatic);
+            EXPECT_EQ(imageOf(dec_mem), imageOf(ref_mem));
+            EXPECT_EQ(dec_res.servedLoads(), ref_res.servedLoads());
+            EXPECT_EQ(dec_res.laterReaders(), ref_res.laterReaders());
+            EXPECT_EQ(dec_res.runBytes(dec_mem.dirtyIntervals()),
+                      ref_res.runBytes(ref_mem.dirtyIntervals()));
+            if (dec_res.servedLoads() || !dec_res.laterReaders().empty())
+                ++hazard_runs;
+        }
+    }
+    // The sample must actually reach other CTAs' bytes, or this test
+    // proves nothing about the resolver path.
+    EXPECT_GT(hazard_runs, 0u);
 }
 
 /**

@@ -188,6 +188,10 @@ TEST(InjectionStats, MergeAndSinceCoverEveryField)
     a.restoredBytes = 7;
     a.checkpointRestores = 8;
     a.skippedDynInstrs = 9;
+    a.detectedFaults = 10;
+    a.hazardLoadsInSlice = 11;
+    a.closureRuns = 12;
+    a.closureCtas = 13;
 
     faults::InjectionStats sum = a;
     sum.merge(a);
@@ -200,6 +204,10 @@ TEST(InjectionStats, MergeAndSinceCoverEveryField)
     EXPECT_EQ(sum.restoredBytes, 14u);
     EXPECT_EQ(sum.checkpointRestores, 16u);
     EXPECT_EQ(sum.skippedDynInstrs, 18u);
+    EXPECT_EQ(sum.detectedFaults, 20u);
+    EXPECT_EQ(sum.hazardLoadsInSlice, 22u);
+    EXPECT_EQ(sum.closureRuns, 24u);
+    EXPECT_EQ(sum.closureCtas, 26u);
 
     faults::InjectionStats delta = sum.since(a);
     EXPECT_EQ(delta.injections, a.injections);
@@ -211,10 +219,17 @@ TEST(InjectionStats, MergeAndSinceCoverEveryField)
     EXPECT_EQ(delta.restoredBytes, a.restoredBytes);
     EXPECT_EQ(delta.checkpointRestores, a.checkpointRestores);
     EXPECT_EQ(delta.skippedDynInstrs, a.skippedDynInstrs);
+    EXPECT_EQ(delta.detectedFaults, a.detectedFaults);
+    EXPECT_EQ(delta.hazardLoadsInSlice, a.hazardLoadsInSlice);
+    EXPECT_EQ(delta.closureRuns, a.closureRuns);
+    EXPECT_EQ(delta.closureCtas, a.closureCtas);
 
     // The one-line rendering includes the replay counters.
     EXPECT_NE(a.summary().find("ckpt-restores 8"), std::string::npos);
     EXPECT_NE(a.summary().find("skipped 9 instrs"), std::string::npos);
+    EXPECT_NE(a.summary().find("hazard-loads-in-slice 11"),
+              std::string::npos);
+    EXPECT_NE(a.summary().find("closures 12 (13 ctas)"), std::string::npos);
 }
 
 TEST(Injector, ClassifiesHang)

@@ -210,7 +210,8 @@ TEST(SlicingAnalysis, DisjointCtasAreIndependent)
     ASSERT_EQ(result.status, RunStatus::Completed);
 
     auto plan =
-        faults::SlicingPlan::analyze(std::move(result.trace.ctaFootprints));
+        faults::SlicingPlan::analyze(std::move(result.trace.ctaFootprints),
+                                     k.memory);
     EXPECT_TRUE(plan.independent());
     EXPECT_EQ(plan.reason(), "cta-independent");
     ASSERT_EQ(plan.ctaCount(), 4u);
@@ -238,7 +239,8 @@ TEST(SlicingAnalysis, CrossCtaReadIsDetected)
         EXPECT_EQ(k.memory.peekU32(k.out + 4 * c), 7u + c);
 
     auto plan =
-        faults::SlicingPlan::analyze(std::move(result.trace.ctaFootprints));
+        faults::SlicingPlan::analyze(std::move(result.trace.ctaFootprints),
+                                     k.memory);
     EXPECT_FALSE(plan.independent());
     EXPECT_NE(plan.reason().find("read-after-write"), std::string::npos)
         << plan.reason();
@@ -262,7 +264,8 @@ TEST(SlicingAnalysis, WriteWriteOverlapIsDetected)
     ASSERT_EQ(result.status, RunStatus::Completed);
 
     auto plan =
-        faults::SlicingPlan::analyze(std::move(result.trace.ctaFootprints));
+        faults::SlicingPlan::analyze(std::move(result.trace.ctaFootprints),
+                                     k.memory);
     EXPECT_FALSE(plan.independent());
     EXPECT_NE(plan.reason().find("write-write"), std::string::npos)
         << plan.reason();
@@ -277,7 +280,8 @@ TEST(SlicingAnalysis, SingleCtaIsNotSliceable)
     ASSERT_EQ(result.status, RunStatus::Completed);
 
     auto plan =
-        faults::SlicingPlan::analyze(std::move(result.trace.ctaFootprints));
+        faults::SlicingPlan::analyze(std::move(result.trace.ctaFootprints),
+                                     k.memory);
     EXPECT_FALSE(plan.independent());
 }
 
@@ -317,7 +321,8 @@ TEST(SlicingAnalysis, SharedReadOnlyInputStaysIndependent)
     EXPECT_EQ(k.memory.peekU32(k.out + 4), 101u);
 
     auto plan =
-        faults::SlicingPlan::analyze(std::move(result.trace.ctaFootprints));
+        faults::SlicingPlan::analyze(std::move(result.trace.ctaFootprints),
+                                     k.memory);
     ASSERT_TRUE(plan.independent()) << plan.reason();
 
     // The shared input word is read by the *other* CTA too, so a

@@ -482,6 +482,12 @@ TEST(CampaignObserver, MetricsObserverCountsMatchCampaignStats)
               stats.injection.skippedDynInstrs);
     EXPECT_EQ(counter("fsp_campaign_slice_hazards_total", ""),
               stats.injection.hazardFallbacks);
+    EXPECT_EQ(counter("fsp_campaign_hazard_loads_in_slice_total", ""),
+              stats.injection.hazardLoadsInSlice);
+    EXPECT_EQ(counter("fsp_campaign_closure_runs_total", ""),
+              stats.injection.closureRuns);
+    EXPECT_EQ(counter("fsp_campaign_closure_ctas_total", ""),
+              stats.injection.closureCtas);
     EXPECT_EQ(registry.gaugeValue(
                   registry.gauge("fsp_campaign_workers", "")),
               static_cast<double>(stats.workers));
